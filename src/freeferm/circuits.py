@@ -356,16 +356,17 @@ def compile_blocked(q: np.ndarray, tol: Tolerances = DEFAULT) -> GateProgram:
 
 def program_to_orthogonal(p: GateProgram) -> np.ndarray:
     """Compose gate actions on the Majorana axes to recover the rotation."""
-    dim = 2 * p.n_qubits
-    q = np.eye(dim)
+    q = np.eye(2 * p.n_qubits)
     for gate in p.gates:
-        if isinstance(gate, ZRot):
-            action = _givens_matrix(dim, 2 * gate.qubit, gate.theta)
-        elif isinstance(gate, XXRot):
-            action = _givens_matrix(dim, 2 * gate.qubit + 1, gate.theta)
-        else:
-            action = np.diag(_layer_action(gate.letters))
-        q = action @ q
+        if isinstance(gate, PauliLayer):
+            q *= _layer_action(gate.letters)[:, None]
+            continue
+        # a Givens rotation on axes (axis, axis + 1) mixes only those two rows
+        axis = 2 * gate.qubit + isinstance(gate, XXRot)
+        c, s = cos(gate.theta), sin(gate.theta)
+        upper, lower = q[axis].copy(), q[axis + 1].copy()
+        q[axis] = c * upper - s * lower
+        q[axis + 1] = s * upper + c * lower
     return q
 
 

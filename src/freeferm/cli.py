@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from itertools import combinations
+from itertools import combinations, islice
 
 import click
 import numpy as np
@@ -118,12 +119,21 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
             raise ValueError("modes must be >= 1")
         if not 0 <= eta <= modes:
             raise ValueError("eta must lie in [0, modes]")
+        if not 1 <= kmax <= modes:
+            raise ValueError("kmax must lie in [1, modes]")
+        if threads is None:
+            env = os.environ.get("FREEFERM_THREADS", "1")
+            try:
+                threads = int(env)
+            except ValueError:
+                raise ValueError(f"FREEFERM_THREADS must be an integer, got {env!r}") from None
+        if threads < 1:
+            raise ValueError("threads must be >= 1")
         noise_model = _parse_noise(noise)
         spec = symmetry_spec(modes, eta, auto_ancilla=True)
     except (ValueError, MitigationError) as err:
         _fail("invalid-argument", str(err))
 
-    threads = threads or int(os.environ.get("FREEFERM_THREADS", "1"))
     os.makedirs(out, exist_ok=True)
 
     slater = _random_slater(modes, eta, seed)
@@ -145,7 +155,7 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
         bits = noise_model.apply_batch(bits, rng)
         part = ShadowAccumulator(n_sim, kmax)
         part.add_batch(perms, signs, bits)
-        return index, part, (perms, signs, bits)
+        return part, ((perms, signs, bits) if writer is not None else None)
 
     sizes = []
     offset = 0
@@ -163,12 +173,11 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
         while next_mark < len(checkpoints) and acc.count >= checkpoints[next_mark]:
             target = checkpoints[next_mark]
             if acc.count == target:
-                est = acc.estimates()
+                est = acc.sector_means()
                 d2_raw = two_rdm(est, modes)
                 err_raw = float(np.linalg.norm(d2_raw - d2_exact, 2))
-                body_est = {k: v for k, v in est.items() if len(k) <= 4}
                 try:
-                    d2_mit = two_rdm(mitigate(body_est, spec), modes)
+                    d2_mit = two_rdm(mitigate({1: est[1], 2: est[2]}, spec), modes)
                     err_mit = float(np.linalg.norm(d2_mit - d2_exact, 2))
                 except MitigationError as err:
                     _fail("mitigation", str(err), exit_code=3)
@@ -177,22 +186,21 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
             else:
                 break
 
-    pending = {}
-    done_through = 0
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        futures = [pool.submit(run_chunk, i, size) for i, size in enumerate(sizes)]
-        for fut in futures:
-            index, part, payload = fut.result()
-            pending[index] = (part, payload)
-            while done_through in pending:
-                part_i, payload_i = pending.pop(done_through)
-                acc.merge(part_i)
-                if writer is not None:
-                    perms, signs, bits = payload_i
-                    for row in range(perms.shape[0]):
-                        writer.write_raw(perms[row], signs[row], bits[row])
-                flush_checkpoints()
-                done_through += 1
+    # chunks merge in index order; at most 2 * threads results are held at once
+    chunks = iter(enumerate(sizes))
+    with ThreadPoolExecutor(max_workers=min(threads, len(sizes))) as pool:
+        window = deque(pool.submit(run_chunk, i, size) for i, size in islice(chunks, 2 * threads))
+        while window:
+            part, payload = window.popleft().result()
+            following = next(chunks, None)
+            if following is not None:
+                window.append(pool.submit(run_chunk, *following))
+            acc.merge(part)
+            if writer is not None:
+                perms, signs, bits = payload
+                for row in range(perms.shape[0]):
+                    writer.write_raw(perms[row], signs[row], bits[row])
+            flush_checkpoints()
 
     if writer is not None:
         writer.close()

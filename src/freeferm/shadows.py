@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from math import comb, ceil, log, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,9 +220,11 @@ def _sample_bits_batch(m: np.ndarray, perms: np.ndarray, signs: np.ndarray,
         coeff = np.where(bit == 1, 1.0, -1.0) / (2.0 * np.maximum(prob, 1e-300))
         row_a = rot[:, 2 * j, :].copy()
         row_b = rot[:, 2 * j + 1, :].copy()
-        rot += coeff[:, None, None] * (
-            row_a[:, :, None] * row_b[:, None, :] - row_b[:, :, None] * row_a[:, None, :]
-        )
+        # in place: one (size, 2n, 2n) temporary per step instead of four
+        update = row_a[:, :, None] * row_b[:, None, :]
+        update -= row_b[:, :, None] * row_a[:, None, :]
+        update *= coeff[:, None, None]
+        rot += update
     return bits
 
 
@@ -256,9 +260,9 @@ class _Frame:
             )
             self.diag_sets[j] = tau
             # position r holds the set with colex rank r, matching rank_rows
-            by_rank: list = [None] * comb(m, 2 * j)
-            for idx in combinations(range(m), 2 * j):
-                rank = sum(comb(x, t + 1) for t, x in enumerate(idx))
+            sets = list(combinations(range(m), 2 * j))
+            by_rank: list = [None] * len(sets)
+            for rank, idx in zip(_colex_rank(np.array(sets, dtype=np.int64)).tolist(), sets):
                 by_rank[rank] = idx
             self.sector_sets[j] = by_rank
             self.lambda_inv[j] = float(1 / channel_eigenvalue(n_modes, j))
@@ -335,13 +339,16 @@ class ShadowAccumulator:
             self.sums[j] += other.sums[j]
         self.count += other.count
 
-    def estimates(self) -> dict[tuple[int, ...], float]:
-        """Empirical means keyed by ascending Majorana index sets."""
+    def sector_means(self) -> dict[int, np.ndarray]:
+        """Empirical means per degree-2j sector, indexed by colex rank."""
         if self.count < 1:
             raise ValueError("empty accumulator")
+        return {j: sums / self.count for j, sums in self.sums.items()}
+
+    def estimates(self) -> dict[tuple[int, ...], float]:
+        """Empirical means keyed by ascending Majorana index sets."""
         out = {}
-        for j in range(1, self.k_max + 1):
-            means = self.sums[j] / self.count
+        for j, means in self.sector_means().items():
             for r, idx in enumerate(self.frame.sector_sets[j]):
                 out[idx] = float(means[r])
         return out
@@ -402,12 +409,57 @@ def symmetry_spec(n: int, eta: int, auto_ancilla: bool = True,
     return SymmetrySpec(n_modes=n, eta=eta, s2=s2, s4=s4, ancilla_added=ancilla)
 
 
-def _symmetry_ratios(est: dict, spec: SymmetrySpec, tol: Tolerances) -> dict[int, float]:
-    n = spec.n_modes
-    s2_hat = -0.5 * sum(est[(2 * p, 2 * p + 1)] for p in range(n))
-    s4_hat = 0.5 * sum(
-        est[(2 * p, 2 * p + 1, 2 * q, 2 * q + 1)] for p, q in combinations(range(n), 2)
-    )
+def _colex_rank(sets: np.ndarray) -> np.ndarray:
+    """Colex ranks sum_t C(sets[:, t], t + 1) of ascending index rows.
+
+    A rank does not depend on the size of the index universe, so the sector
+    over the first 2n indices is a prefix of the same sector over 2n + 2.
+    """
+    rank = np.zeros(sets.shape[0], dtype=np.int64)
+    for t in range(sets.shape[1]):
+        binom = np.ones(sets.shape[0], dtype=np.int64)
+        for i in range(t + 1):
+            binom = binom * (sets[:, t] - i) // (i + 1)
+        rank += binom
+    return rank
+
+
+def _as_sectors(est: dict) -> dict[int, np.ndarray]:
+    """Estimates as {j: degree-2j sector means in colex order}.
+
+    Sector arrays pass through; a dict keyed by ascending index sets is
+    ranked into them and must cover every set of each degree it holds.
+    """
+    if not est or not isinstance(next(iter(est)), tuple):
+        return est
+    universe = 2 * (max(max(idx) for idx in est if idx) // 2 + 1)
+    sectors = {}
+    for j in sorted({len(idx) // 2 for idx in est if idx and len(idx) % 2 == 0}):
+        sets = [idx for idx in est if len(idx) == 2 * j]
+        size = comb(universe, 2 * j)
+        ranks = _colex_rank(np.array(sets, dtype=np.int64))
+        seen = np.zeros(size, dtype=bool)
+        seen[ranks] = True
+        if len(sets) != size or not seen.all():
+            raise KeyError(f"estimates do not cover the degree-{2 * j} sector")
+        sectors[j] = np.empty(size)
+        sectors[j][ranks] = [est[idx] for idx in sets]
+    return sectors
+
+
+def _diagonal_ranks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Colex ranks of (2p, 2p+1) and of (2p, 2p+1, 2q, 2q+1), p < q, in that order."""
+    one = [(2 * p, 2 * p + 1) for p in range(n)]
+    two = [a + b for a, b in combinations(one, 2)]
+    return (_colex_rank(np.array(one, dtype=np.int64).reshape(-1, 2)),
+            _colex_rank(np.array(two, dtype=np.int64).reshape(-1, 4)))
+
+
+def _symmetry_ratios(sectors: dict, spec: SymmetrySpec, tol: Tolerances) -> dict[int, float]:
+    one, two = _diagonal_ranks(spec.n_modes)
+    # builtin sum keeps the left-to-right order of the scalar formula
+    s2_hat = -0.5 * sum(sectors[1][one].tolist())
+    s4_hat = 0.5 * sum(sectors[2][two].tolist())
     ratios = {1: s2_hat / spec.s2, 2: s4_hat / spec.s4}
     for k, r in ratios.items():
         if abs(r) < tol.mitigation_guard:
@@ -419,14 +471,19 @@ def _symmetry_ratios(est: dict, spec: SymmetrySpec, tol: Tolerances) -> dict[int
 
 
 def mitigate(est: dict, spec: SymmetrySpec, tol: Tolerances = DEFAULT) -> dict:
-    """Symmetry-adjusted estimates: divide each sector by its measured ratio."""
-    if any(len(idx) > 4 for idx in est):
+    """Symmetry-adjusted estimates: divide each sector by its measured ratio.
+
+    ``est`` holds sector arrays ({j: means in colex order}, as from
+    ``ShadowAccumulator.sector_means``) or a dict keyed by index sets; the
+    result has the same form.
+    """
+    if any(len(key) > 4 if isinstance(key, tuple) else key > 2 for key in est):
         raise ValueError("symmetry adjustment is defined for the one- and two-body sectors")
-    ratios = _symmetry_ratios(est, spec, tol)
-    out = {}
-    for idx, value in est.items():
-        out[idx] = value / ratios[len(idx) // 2]
-    return out
+    sectors = _as_sectors(est)
+    ratios = _symmetry_ratios(sectors, spec, tol)
+    if sectors is est:
+        return {j: values / ratios[j] for j, values in est.items()}
+    return {idx: value / ratios[len(idx) // 2] for idx, value in est.items()}
 
 
 def ladder_product_expansion(n_modes: int, ops: list[tuple[int, bool]]) -> dict:
@@ -453,31 +510,102 @@ def ladder_product_expansion(n_modes: int, ops: list[tuple[int, bool]]) -> dict:
     return poly
 
 
+class _RdmMap(NamedTuple):
+    upper: tuple[np.ndarray, np.ndarray]  # (row, column) of each upper-triangle entry
+    slot: np.ndarray     # 2u + 0 for a real coefficient on entry u, 2u + 1 for imaginary
+    column: np.ndarray   # index into the degree-2 then degree-4 sector means
+    weight: np.ndarray
+    const: np.ndarray    # identity component of each upper-triangle entry
+
+
+def _ladder_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every Majorana word of the upper-triangle 2-RDM entries, reduced.
+
+    a_p+ a_q+ a_s a_r with a+ = (g_2p - i g_2p+1) / 2 and a = (g_2p + i g_2p+1) / 2
+    is a sum of 16 four-generator words, one per choice of g_2m or g_2m+1 in
+    each factor. Each word is sorted (an inversion of distinct generators
+    flips the sign), equal neighbours cancel (g^2 = 1), and the ordered
+    product of m generators is i^C(m,2) times the canonical monomial. Returns
+    each word's entry, column (colex rank in the degree-2 sector, then the
+    degree-4 sector; -1 for the identity) and coefficient.
+    """
+    pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
+    upper = np.triu_indices(len(pairs))
+    factors = np.concatenate([pairs[upper[0]], pairs[upper[1]][:, ::-1]], axis=1)  # p q s r
+    entry, column, phases = [], [], []
+    for odd in product((0, 1), repeat=4):
+        words = 2 * factors + np.array(odd)
+        # 1/2 per factor, times -i for g_2p+1 in a creator and +i in an annihilator
+        phase = 3 * (odd[0] + odd[1]) + odd[2] + odd[3]
+        phase += 2 * sum(words[:, a] > words[:, b] for a, b in combinations(range(4), 2))
+        words.sort(axis=1)
+        equal = words[:, 1:] == words[:, :-1]  # no generator occurs three times
+        keep = np.ones(words.shape, dtype=bool)
+        keep[:, :-1] &= ~equal
+        keep[:, 1:] &= ~equal
+        degree = keep.sum(axis=1)
+        phase += degree * (degree - 1) // 2
+        col = np.full(len(words), -1, dtype=np.int64)
+        two, four = degree == 2, degree == 4
+        col[two] = _colex_rank(words[two][keep[two]].reshape(-1, 2))
+        col[four] = comb(2 * n, 2) + _colex_rank(words[four])
+        entry.append(np.arange(len(words)))
+        column.append(col)
+        phases.append(phase)
+    coeff = np.array([1, 1j, -1, -1j])[np.concatenate(phases) % 4] / 16
+    return np.concatenate(entry), np.concatenate(column), coeff
+
+
+@lru_cache(maxsize=8)
+def _two_rdm_map(n: int) -> _RdmMap:
+    """The 2-RDM as a linear map of the degree-2 and degree-4 sector means.
+
+    Built once per n from ``_ladder_words``; the arrays are read-only, so
+    pool threads can share them.
+    """
+    upper = np.triu_indices(comb(n, 2))
+    entries = len(upper[0])
+    entry, column, coeff = _ladder_words(n)
+    ident = column < 0
+    const = (np.bincount(entry[ident], weights=coeff[ident].real, minlength=entries)
+             + 1j * np.bincount(entry[ident], weights=coeff[ident].imag, minlength=entries))
+    width = comb(2 * n, 2) + comb(2 * n, 4)
+    keys, where = np.unique(entry[~ident] * width + column[~ident], return_inverse=True)
+    # coefficients are multiples of 1/16, so equal terms merge and cancel exactly
+    parts = [(np.bincount(where, weights=coeff[~ident].real), 0),
+             (np.bincount(where, weights=coeff[~ident].imag), 1)]
+    slot = np.concatenate([2 * (keys[c != 0] // width) + part for c, part in parts])
+    column = np.concatenate([keys[c != 0] % width for c, _ in parts])
+    weight = np.concatenate([c[c != 0] for c, _ in parts])
+    rdm_map = _RdmMap(upper, slot, column, weight, const)
+    for arr in (*upper, slot, column, weight, const):
+        arr.flags.writeable = False
+    return rdm_map
+
+
 def two_rdm(est: dict, n: int) -> np.ndarray:
     """Assemble the two-body RDM from degree <= 4 Majorana estimates.
 
-    Rows and columns run over ascending pairs (p, q); the (row, col) entry is
-    the expectation of a_p+ a_q+ a_s a_r for row (p, q), column (r, s). Modes
-    beyond ``n`` (an ancilla, for instance) are ignored.
+    ``est`` holds sector arrays ({j: means in colex order}) or a dict keyed
+    by index sets. Rows and columns run over ascending pairs (p, q); the
+    (row, col) entry is the expectation of a_p+ a_q+ a_s a_r for row (p, q),
+    column (r, s). Modes beyond ``n`` (an ancilla, for instance) are ignored.
+    The work is one gather and one bincount through a map cached per ``n``.
     """
-    pairs = list(combinations(range(n), 2))
-    size = len(pairs)
-    out = np.zeros((size, size), dtype=complex)
-    for i, (p, q) in enumerate(pairs):
-        for j, (r, s) in enumerate(pairs):
-            if j < i:
-                continue
-            poly = ladder_product_expansion(
-                n, [(p, True), (q, True), (s, False), (r, False)]
-            )
-            val = 0j
-            for idx, coeff in poly.items():
-                if not idx:
-                    val += coeff
-                elif len(idx) % 2 == 0:
-                    val += coeff * est[idx]
-            out[i, j] = val
-            out[j, i] = val.conjugate()
+    if n < 2:
+        return np.zeros((0, 0), dtype=complex)
+    sectors = _as_sectors(est)
+    rdm_map = _two_rdm_map(n)
+    n_two, n_four = comb(2 * n, 2), comb(2 * n, 4)
+    if len(sectors[1]) < n_two or len(sectors[2]) < n_four:
+        raise ValueError(f"estimates cover fewer than {n} modes")
+    means = np.concatenate([sectors[1][:n_two], sectors[2][:n_four]])
+    flat = np.bincount(rdm_map.slot, weights=rdm_map.weight * means[rdm_map.column],
+                       minlength=2 * len(rdm_map.const)).view(complex) + rdm_map.const
+    size = comb(n, 2)
+    out = np.empty((size, size), dtype=complex)
+    out[rdm_map.upper] = flat
+    out[rdm_map.upper[::-1]] = flat.conj()
     return out
 
 

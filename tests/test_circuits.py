@@ -6,6 +6,8 @@ import freeferm as ff
 from freeferm import dense
 from freeferm.circuits import (
     PauliLayer,
+    _givens_matrix,
+    _layer_action,
     XXRot,
     ZRot,
     compile_blocked,
@@ -43,6 +45,28 @@ def test_pauli_layer_action():
     for mu, sign in enumerate(got):
         lhs = u.conj().T @ dense.build_majorana(3, mu).matrix @ u
         assert np.array_equal(lhs, sign * dense.build_majorana(3, mu).matrix)
+
+
+def dense_composition(prog):
+    """Reference: multiply in one dense 2n x 2n action per gate."""
+    dim = 2 * prog.n_qubits
+    q = np.eye(dim)
+    for gate in prog.gates:
+        if isinstance(gate, PauliLayer):
+            action = np.diag(_layer_action(gate.letters))
+        else:
+            axis = 2 * gate.qubit + isinstance(gate, XXRot)
+            action = _givens_matrix(dim, axis, gate.theta)
+        q = action @ q
+    return q
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+@pytest.mark.parametrize("compiler", COMPILERS)
+def test_row_updates_match_dense_composition(n, compiler, rng):
+    for _ in range(2):
+        prog = compiler(random_orthogonal(2 * n, rng))
+        assert np.max(np.abs(program_to_orthogonal(prog) - dense_composition(prog))) < 1e-12
 
 
 def test_gate_actions_match_dense(rng):

@@ -34,6 +34,30 @@ def test_shadow_sim_rejects_zero_samples(runner, tmp_path):
     assert "samples must be >= 1" in result.output
 
 
+@pytest.mark.parametrize("kmax", ["0", "5"])
+def test_shadow_sim_rejects_kmax_out_of_range(runner, tmp_path, kmax):
+    result = runner.invoke(main, [
+        "shadow-sim", "--modes", "4", "--eta", "1", "--samples", "100",
+        "--kmax", kmax, "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code != 0
+    assert result.output.strip() == "error:invalid-argument: kmax must lie in [1, modes]"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "FREEFERM_THREADS must be an integer, got 'x'"),
+    ("0", "threads must be >= 1"),
+])
+def test_shadow_sim_rejects_bad_thread_variable(runner, tmp_path, monkeypatch, value, message):
+    monkeypatch.setenv("FREEFERM_THREADS", value)
+    result = runner.invoke(main, [
+        "shadow-sim", "--modes", "2", "--eta", "1", "--samples", "100",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code != 0
+    assert result.output.strip().splitlines() == [f"error:invalid-argument: {message}"]
+
+
 def test_shadow_sim_outputs_and_determinism(runner, tmp_path):
     args = [
         "shadow-sim", "--modes", "3", "--eta", "1", "--samples", "2000",

@@ -1,6 +1,9 @@
 """Randomized-measurement estimation, channel identity, and mitigation."""
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from freeferm.shadows import (
     ShadowAccumulator,
     _sample_bits_batch,
     _sample_ensemble_batch,
+    _two_rdm_map,
     exact_two_rdm,
     ladder_product_expansion,
 )
@@ -462,3 +466,96 @@ def test_exact_two_rdm_identity_slater():
     d2 = exact_two_rdm(one_rdm(s))
     assert d2[0, 0] == pytest.approx(1.0)  # pair (0, 1) occupied
     assert np.trace(d2).real == pytest.approx(1.0)  # binom(eta, 2)
+
+
+def reference_two_rdm(est, n):
+    """Entry-by-entry assembly through the symbolic ladder expansion."""
+    pairs = list(combinations(range(n), 2))
+    out = np.zeros((len(pairs), len(pairs)), dtype=complex)
+    for i, (p, q) in enumerate(pairs):
+        for j, (r, s) in enumerate(pairs):
+            poly = ladder_product_expansion(n, [(p, True), (q, True), (s, False), (r, False)])
+            out[i, j] = sum(c * (est[idx] if idx else 1.0) for idx, c in poly.items())
+    return out
+
+
+def random_sectors(n, rng):
+    """Random degree-2 and degree-4 sector arrays and the same values keyed by index set."""
+    sectors = {j: rng.normal(size=comb(2 * n, 2 * j)) for j in (1, 2)}
+    acc = ShadowAccumulator(n, 2)
+    keyed = {idx: float(sectors[j][r])
+             for j in (1, 2) for r, idx in enumerate(acc.frame.sector_sets[j])}
+    return sectors, keyed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_two_rdm_map_matches_ladder_expansion(n, rng):
+    sectors, keyed = random_sectors(n, rng)
+    ref = reference_two_rdm(keyed, n)
+    assert np.max(np.abs(ff.two_rdm(sectors, n) - ref)) < 1e-12
+    assert np.max(np.abs(ff.two_rdm(keyed, n) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_two_rdm_map_ignores_ancilla(n, rng):
+    # sectors over n + 1 modes: the first n modes' sets are a colex prefix
+    sectors, keyed = random_sectors(n + 1, rng)
+    ref = reference_two_rdm(keyed, n)
+    assert np.max(np.abs(ff.two_rdm(sectors, n) - ref)) < 1e-12
+    assert np.max(np.abs(ff.two_rdm(keyed, n) - ref)) < 1e-12
+
+
+def test_two_rdm_map_is_shared_read_only(rng):
+    n = 5
+    sectors, _ = random_sectors(n, rng)
+    _two_rdm_map.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(ff.two_rdm, sectors, n) for _ in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(r, results[0]) for r in results)
+    with pytest.raises(ValueError):
+        _two_rdm_map(n).weight[0] = 0.0
+
+
+def test_two_rdm_rejects_short_sectors(rng):
+    sectors, _ = random_sectors(3, rng)
+    with pytest.raises(ValueError):
+        ff.two_rdm(sectors, 4)
+
+
+def test_sector_means_match_estimates(rng):
+    n = 4
+    perms, signs = _sample_ensemble_batch(n, rng, 200, "b")
+    bits = rng.integers(0, 2, size=(200, n)).astype(np.uint8)
+    acc = ShadowAccumulator(n, 2)
+    acc.add_batch(perms, signs, bits)
+    keyed = acc.estimates()
+    for j, means in acc.sector_means().items():
+        for r, idx in enumerate(acc.frame.sector_sets[j]):
+            assert means[r] == keyed[idx]
+
+
+def test_mitigate_array_and_dict_forms_agree(rng):
+    n, eta = 5, 2
+    spec = ff.symmetry_spec(n, eta)
+    sectors, keyed = random_sectors(n, rng)
+    arrays = ff.mitigate(sectors, spec)
+    by_set = ff.mitigate(keyed, spec)
+    acc = ShadowAccumulator(n, 2)
+    for j in (1, 2):
+        for r, idx in enumerate(acc.frame.sector_sets[j]):
+            assert arrays[j][r] == by_set[idx]
+
+
+def test_mitigate_array_guards():
+    spec = ff.SymmetrySpec(2, 1, s2=-1.0, s4=-0.5, ancilla_added=False)
+    zeros = {1: np.zeros(6), 2: np.zeros(1)}
+    with pytest.raises(ff.MitigationError):
+        ff.mitigate(zeros, spec)
+    with pytest.raises(ValueError):
+        ff.mitigate({**zeros, 3: np.zeros(0)}, spec)
