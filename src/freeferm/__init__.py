@@ -36,7 +36,7 @@ from .gaussian import (
     measurement_distribution,
     one_rdm,
     pfaffian,
-    sample_measurement,
+    sample_bits,
     slater_amplitude,
     slater_covariance,
     spectrum,
@@ -47,16 +47,12 @@ from .shadows import (
     MitigationError,
     NoiseModel,
     ShadowAccumulator,
-    ShadowSample,
     SymmetrySpec,
-    accumulate,
-    acquire,
     channel_eigenvalue,
-    estimates,
     mitigate,
     observable_norm_bound,
     sample_bound,
-    sample_ensemble,
+    sample_snapshots,
     shadow_norm_sq,
     symmetry_spec,
     two_rdm,

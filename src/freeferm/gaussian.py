@@ -45,7 +45,7 @@ __all__ = [
     "one_rdm",
     "k_rdm_element",
     "embed_unitary",
-    "sample_measurement",
+    "sample_bits",
     "measurement_distribution",
 ]
 
@@ -340,42 +340,58 @@ def slater_covariance(s: SlaterDeterminant) -> CovarianceMatrix:
     return evolve(base, q)
 
 
-def _conditional_update(m: np.ndarray, mode: int, bit: int, prob: float):
-    """In-place covariance conditioning on outcome ``bit`` for ``mode``."""
-    a = 2 * mode
-    b = 2 * mode + 1
-    coeff = (1.0 if bit else -1.0) / (2.0 * prob)
-    row_a = m[a, :].copy()
-    row_b = m[b, :].copy()
-    m += coeff * (np.outer(row_a, row_b) - np.outer(row_b, row_a))
+def _conditional_update(m: np.ndarray, mode: int, bit, prob,
+                        work: tuple[np.ndarray, np.ndarray]):
+    """Condition a covariance matrix, or a stack of them, in place on ``mode``.
 
-
-def _occupation_probability(m: np.ndarray, mode: int, slack: float) -> float:
-    p1 = 0.5 * (1.0 - m[2 * mode, 2 * mode + 1])
-    if p1 < -slack or p1 > 1.0 + slack:
-        raise ValueError("conditional probability outside [0, 1] beyond slack")
-    return min(max(p1, 0.0), 1.0)
-
-
-def sample_measurement(g: CovarianceMatrix, rng: np.random.Generator,
-                       tol: Tolerances = DEFAULT) -> tuple[int, ...]:
-    """Computational-basis sample distributed exactly per the Born rule.
-
-    Measures modes in ascending order; each conditional probability comes from
-    the current covariance matrix, which is then updated by the rank-two
-    conditioning formula.
+    ``bit`` is the outcome and ``prob`` its probability, one per matrix of a
+    stack; the update is the rank-two conditioning formula. ``work`` is a pair
+    of scratch arrays of the shape of ``m``; reusing them keeps every step
+    from allocating (and page-faulting) stacks of its own.
     """
-    m = np.array(g.matrix, dtype=float)
-    n = g.n_modes
-    bits = []
+    row_a = m[..., 2 * mode, :].copy()
+    row_b = m[..., 2 * mode + 1, :].copy()
+    outer, update = work
+    np.multiply(row_a[..., :, None], row_b[..., None, :], out=outer)
+    # a_i b_j - b_i a_j; the transpose of the outer product holds b_i a_j exactly
+    np.subtract(outer, np.swapaxes(outer, -1, -2), out=update)
+    update *= (np.where(bit, 1.0, -1.0) / (2.0 * prob))[..., None, None]
+    m += update
+
+
+def _occupation_probability(m: np.ndarray, mode: int, slack: float):
+    """P(mode occupied) for a matrix or a stack, clamped to [0, 1] within ``slack``."""
+    p1 = 0.5 * (1.0 - m[..., 2 * mode, 2 * mode + 1])
+    if np.any(p1 < -slack) or np.any(p1 > 1.0 + slack):
+        raise ValueError("conditional probability outside [0, 1] beyond slack")
+    return np.clip(p1, 0.0, 1.0)
+
+
+def sample_bits(matrices: np.ndarray, rng: np.random.Generator,
+                tol: Tolerances = DEFAULT) -> np.ndarray:
+    """One computational-basis sample per covariance matrix, exactly by the Born rule.
+
+    ``matrices`` is a (size, 2n, 2n) stack; it is conditioned in place, so
+    pass a copy to keep it. Modes are measured in ascending order: each
+    conditional probability comes from the current matrix, which is then
+    updated by the rank-two conditioning formula (Terhal and DiVincenzo,
+    quant-ph/0108010). All uniform draws are taken first, as one (size, n)
+    block. Returns a (size, n) uint8 array.
+    """
+    if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2] or matrices.shape[1] % 2:
+        raise ValueError("matrices must be a (size, 2n, 2n) stack")
+    size, n = matrices.shape[0], matrices.shape[1] // 2
+    bits = np.empty((size, n), dtype=np.uint8)
+    draws = rng.random((size, n))
+    work = (np.empty_like(matrices), np.empty_like(matrices))
     for j in range(n):
-        p1 = _occupation_probability(m, j, tol.prob_clamp)
-        bit = 1 if rng.random() < p1 else 0
-        bits.append(bit)
+        p1 = _occupation_probability(matrices, j, tol.prob_clamp)
+        bit = draws[:, j] < p1
+        bits[:, j] = bit
         if j < n - 1:
-            prob = p1 if bit else 1.0 - p1
-            _conditional_update(m, j, bit, max(prob, 1e-300))
-    return tuple(bits)
+            # draws lie in [0, 1), so the drawn outcome has probability > 0
+            _conditional_update(matrices, j, bit, np.where(bit, p1, 1.0 - p1), work)
+    return bits
 
 
 def measurement_distribution(g: CovarianceMatrix, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -387,6 +403,7 @@ def measurement_distribution(g: CovarianceMatrix, tol: Tolerances = DEFAULT) -> 
     if n > 12:
         raise ValueError("refusing to enumerate more than 2^12 outcomes")
     out = np.zeros(2 ** n)
+    work = (np.empty((2 * n, 2 * n)), np.empty((2 * n, 2 * n)))
 
     def descend(m, mode, prefix_prob, index):
         if prefix_prob == 0.0:
@@ -400,7 +417,7 @@ def measurement_distribution(g: CovarianceMatrix, tol: Tolerances = DEFAULT) -> 
                 continue
             m2 = m.copy()
             if mode < n - 1:
-                _conditional_update(m2, mode, bit, pb)
+                _conditional_update(m2, mode, bit, pb, work)
             descend(m2, mode + 1, prefix_prob * pb, (index << 1) | bit)
 
     descend(np.array(g.matrix, dtype=float), 0, 1.0, 0)

@@ -12,7 +12,6 @@ import numpy as np
 
 from .circuits import GateProgram, PauliLayer, XXRot, ZRot
 from .partition import AnticommutingPartition, ElectronicIntegrals
-from .shadows import ShadowSample
 
 MATRIX_KINDS = ("covariance", "quadratic_hamiltonian", "orthogonal")
 
@@ -164,9 +163,6 @@ class SampleWriter:
         self._writer = csv.writer(self._fh)
         self._writer.writerow(["id", "permutation", "signs", "bits"])
         self._next = 0
-
-    def write(self, sample: ShadowSample):
-        self.write_raw(sample.q.perm, sample.q.signs, sample.bits)
 
     def write_raw(self, perm, signs, bits):
         self._writer.writerow(

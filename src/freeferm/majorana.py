@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 __all__ = [
     "MajoranaMonomial",
     "PauliString",
@@ -71,6 +73,16 @@ def _sort_with_parity(seq) -> tuple[tuple, int]:
             parity ^= 1
             j -= 1
     return tuple(items), parity
+
+
+def _sort_rows_with_parity(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise sort plus permutation parity (rows hold distinct entries)."""
+    width = rows.shape[1]
+    parity = np.zeros(rows.shape[0], dtype=np.int64)
+    for i in range(width):
+        for j in range(i + 1, width):
+            parity += rows[:, i] > rows[:, j]
+    return np.sort(rows, axis=1), parity % 2
 
 
 def canonical_phase_pow(degree: int) -> int:
@@ -217,8 +229,6 @@ class SignedPermutation:
         return cls(n_modes, tuple(range(m)), (1,) * m)
 
     def matrix(self):
-        import numpy as np
-
         m = 2 * self.n_modes
         q = np.zeros((m, m))
         for u in range(m):

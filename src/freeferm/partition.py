@@ -24,7 +24,7 @@ from math import atan2, hypot, sqrt
 
 import numpy as np
 
-from .majorana import MajoranaMonomial, anticommutes
+from .majorana import MajoranaMonomial, _sort_with_parity, anticommutes
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -154,14 +154,9 @@ def _quadratic_term(p: int, q: int) -> tuple[tuple[int, ...], float]:
 
 def _quartic_term(p: int, q: int, r: int, s: int) -> tuple[tuple[int, ...], float]:
     """Canonical set and sign for g_{2p} g_{2q} g_{2r+1} g_{2s+1}."""
-    raw = (2 * p, 2 * q, 2 * r + 1, 2 * s + 1)
-    order = sorted(range(4), key=lambda i: raw[i])
-    parity = 0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            parity ^= order[i] > order[j]
+    indices, parity = _sort_with_parity((2 * p, 2 * q, 2 * r + 1, 2 * s + 1))
     # canonical quartic monomial carries (-i)^6 = -1 against the raw product
-    return tuple(sorted(raw)), -(1.0 if parity == 0 else -1.0)
+    return indices, -(1.0 if parity == 0 else -1.0)
 
 
 def majorana_form(ints: ElectronicIntegrals, tol: Tolerances = DEFAULT) -> MajoranaPolynomial:

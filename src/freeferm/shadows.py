@@ -25,23 +25,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix, sample_measurement
-from .majorana import MajoranaMonomial, SignedPermutation
+from .gaussian import CovarianceMatrix, sample_bits
+from .majorana import MajoranaMonomial, _sort_rows_with_parity
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
-    "ShadowSample",
     "ShadowAccumulator",
     "NoiseModel",
     "SymmetrySpec",
     "MitigationError",
-    "sample_ensemble",
+    "sample_snapshots",
     "channel_eigenvalue",
     "shadow_norm_sq",
     "observable_norm_bound",
-    "acquire",
-    "accumulate",
-    "estimates",
     "sample_bound",
     "symmetry_spec",
     "mitigate",
@@ -52,19 +48,6 @@ __all__ = [
 
 class MitigationError(RuntimeError):
     """Raised when a symmetry ratio is too close to zero to divide by."""
-
-
-@dataclass(frozen=True)
-class ShadowSample:
-    """One snapshot: the applied rotation and the measured bit string."""
-
-    q: SignedPermutation
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if len(self.bits) != self.q.n_modes:
-            raise ValueError("bit count must equal the mode count")
 
 
 @dataclass(frozen=True)
@@ -84,10 +67,6 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("noise probability must lie in [0, 1]")
-
-    def apply(self, bits, rng: np.random.Generator) -> tuple[int, ...]:
-        arr = np.array(bits, dtype=np.uint8)[None, :]
-        return tuple(int(b) for b in self.apply_batch(arr, rng)[0])
 
     def apply_batch(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "none" or self.p == 0.0:
@@ -148,84 +127,33 @@ def observable_norm_bound(poly) -> float:
     return total
 
 
-def sample_ensemble(n: int, rng: np.random.Generator, group: str = "b") -> SignedPermutation:
-    """Uniform element of B(2n) (signed) or Alt(2n) (unsigned, even)."""
-    perms, signs = _sample_ensemble_batch(n, rng, 1, group)
-    return SignedPermutation(n, tuple(int(x) for x in perms[0]), tuple(int(s) for s in signs[0]))
+def sample_snapshots(cov: CovarianceMatrix, size: int, rng: np.random.Generator,
+                     group: str = "b", noise: NoiseModel = NoiseModel()):
+    """Run the measurement primitive ``size`` times: rotate, sample, add readout noise.
 
-
-def _sample_ensemble_batch(n, rng, size, group="b"):
-    if n < 1:
-        raise ValueError("n must be positive")
+    Each snapshot rotates the state by a uniform element of B(2n) (signed)
+    or Alt(2n) (unsigned, even), samples every mode by covariance
+    conditioning and passes the bits through ``noise``. Random numbers are
+    drawn in that order, each step for the whole batch. Returns
+    (perms, signs, bits) of shapes (size, 2n), (size, 2n) and (size, n),
+    the input of ``ShadowAccumulator.add_batch``.
+    """
     if group not in ("b", "alt"):
         raise ValueError("group must be 'b' or 'alt'")
-    m = 2 * n
+    m = 2 * cov.n_modes
     perms = np.argsort(rng.random((size, m)), axis=1)
     if group == "b":
         signs = np.where(rng.random((size, m)) < 0.5, -1, 1).astype(np.int8)
-        return perms, signs
-    # force even parity by swapping the first two images of odd permutations
-    parity = _permutation_parity_batch(perms)
-    odd = parity == 1
-    perms[odd, 0], perms[odd, 1] = perms[odd, 1].copy(), perms[odd, 0].copy()
-    signs = np.ones((size, m), dtype=np.int8)
-    return perms, signs
-
-
-def _permutation_parity_batch(perms: np.ndarray) -> np.ndarray:
-    size, m = perms.shape
-    parity = np.zeros(size, dtype=np.int64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            parity += perms[:, i] > perms[:, j]
-    return parity % 2
-
-
-def _rotate_covariance(m: np.ndarray, perm: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Q M Q^T for Q[u, v] = signs[u] delta(perm[u], v), elementwise."""
-    rotated = m[np.ix_(perm, perm)] * np.outer(signs, signs)
-    return rotated
-
-
-def acquire(g: CovarianceMatrix, q: SignedPermutation, noise: NoiseModel,
-            rng: np.random.Generator) -> ShadowSample:
-    """Run one measurement primitive on the state: rotate, sample, add noise."""
-    if g.n_modes != q.n_modes:
-        raise ValueError("mode-count mismatch")
-    rotated = CovarianceMatrix(
-        _rotate_covariance(g.matrix, np.array(q.perm), np.array(q.signs, dtype=float)),
-        validate=False,
-    )
-    bits = sample_measurement(rotated, rng)
-    return ShadowSample(q, noise.apply(bits, rng))
-
-
-def _sample_bits_batch(m: np.ndarray, perms: np.ndarray, signs: np.ndarray,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Vectorized rotate-and-measure for a batch of signed permutations."""
-    size = perms.shape[0]
-    n = m.shape[0] // 2
+    else:
+        # force even parity by swapping the first two images of odd permutations
+        odd = _sort_rows_with_parity(perms)[1] == 1
+        perms[odd, 0], perms[odd, 1] = perms[odd, 1].copy(), perms[odd, 0].copy()
+        signs = np.ones((size, m), dtype=np.int8)
+    # Q M Q^T for Q[u, v] = signs[u] delta(perms[u], v), one matrix per snapshot
     sf = signs.astype(float)
-    rot = m[perms[:, :, None], perms[:, None, :]] * sf[:, :, None] * sf[:, None, :]
-    bits = np.empty((size, n), dtype=np.uint8)
-    draws = rng.random((size, n))
-    for j in range(n):
-        p1 = 0.5 * (1.0 - rot[:, 2 * j, 2 * j + 1])
-        np.clip(p1, 0.0, 1.0, out=p1)
-        bit = (draws[:, j] < p1).astype(np.uint8)
-        bits[:, j] = bit
-        if j == n - 1:
-            break
-        prob = np.where(bit == 1, p1, 1.0 - p1)
-        coeff = np.where(bit == 1, 1.0, -1.0) / (2.0 * np.maximum(prob, 1e-300))
-        row_a = rot[:, 2 * j, :].copy()
-        row_b = rot[:, 2 * j + 1, :].copy()
-        # in place: one (size, 2n, 2n) temporary per step instead of four
-        update = row_a[:, :, None] * row_b[:, None, :]
-        update -= row_b[:, :, None] * row_a[:, None, :]
-        update *= coeff[:, None, None]
-        rot += update
-    return bits
+    rotated = cov.matrix[perms[:, :, None], perms[:, None, :]] * sf[:, :, None] * sf[:, None, :]
+    bits = sample_bits(rotated, rng)
+    return perms, signs, noise.apply_batch(bits, rng)
 
 
 class _Frame:
@@ -249,7 +177,6 @@ class _Frame:
         )
         self.diag_sets = {}
         self.diag_qubits = {}
-        self.sector_sets = {}
         self.lambda_inv = {}
         for j in range(1, k_max + 1):
             pairs = list(combinations(range(n_modes), j))
@@ -259,12 +186,6 @@ class _Frame:
                 dtype=np.int64,
             )
             self.diag_sets[j] = tau
-            # position r holds the set with colex rank r, matching rank_rows
-            sets = list(combinations(range(m), 2 * j))
-            by_rank: list = [None] * len(sets)
-            for rank, idx in zip(_colex_rank(np.array(sets, dtype=np.int64)).tolist(), sets):
-                by_rank[rank] = idx
-            self.sector_sets[j] = by_rank
             self.lambda_inv[j] = float(1 / channel_eigenvalue(n_modes, j))
         cls._cache[key] = self
         return self
@@ -273,16 +194,6 @@ class _Frame:
         """Colex ranks of ascending index rows."""
         cols = np.arange(mu.shape[1])
         return self.rank_table[mu, cols[None, :]].sum(axis=1)
-
-
-def _sort_rows_with_parity(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise sort plus permutation parity (rows hold distinct entries)."""
-    width = rows.shape[1]
-    parity = np.zeros(rows.shape[0], dtype=np.int64)
-    for i in range(width):
-        for j in range(i + 1, width):
-            parity += rows[:, i] > rows[:, j]
-    return np.sort(rows, axis=1), parity % 2
 
 
 class ShadowAccumulator:
@@ -301,15 +212,6 @@ class ShadowAccumulator:
             j: np.zeros(comb(2 * n_modes, 2 * j)) for j in range(1, k_max + 1)
         }
         self.count = 0
-
-    def add(self, sample: ShadowSample):
-        """Accumulate one snapshot in O(n^k_max) time."""
-        if sample.q.n_modes != self.n_modes:
-            raise ValueError("mode-count mismatch")
-        perm = np.array(sample.q.perm)
-        signs = np.array(sample.q.signs)
-        bits = np.array(sample.bits, dtype=np.uint8)
-        self.add_batch(perm[None, :], signs[None, :], bits[None, :])
 
     def add_batch(self, perms: np.ndarray, signs: np.ndarray, bits: np.ndarray):
         """Vectorized accumulation of a batch of snapshots."""
@@ -349,17 +251,9 @@ class ShadowAccumulator:
         """Empirical means keyed by ascending Majorana index sets."""
         out = {}
         for j, means in self.sector_means().items():
-            for r, idx in enumerate(self.frame.sector_sets[j]):
-                out[idx] = float(means[r])
+            sets = list(combinations(range(2 * self.n_modes), 2 * j))
+            out.update(zip(sets, means[_colex_rank(np.array(sets, dtype=np.int64))].tolist()))
         return out
-
-
-def accumulate(acc: ShadowAccumulator, sample: ShadowSample):
-    acc.add(sample)
-
-
-def estimates(acc: ShadowAccumulator) -> dict[tuple[int, ...], float]:
-    return acc.estimates()
 
 
 def sample_bound(epsilon: float, delta: float, n_observables: int,
@@ -537,8 +431,8 @@ def _ladder_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         words = 2 * factors + np.array(odd)
         # 1/2 per factor, times -i for g_2p+1 in a creator and +i in an annihilator
         phase = 3 * (odd[0] + odd[1]) + odd[2] + odd[3]
-        phase += 2 * sum(words[:, a] > words[:, b] for a, b in combinations(range(4), 2))
-        words.sort(axis=1)
+        words, parity = _sort_rows_with_parity(words)
+        phase += 2 * parity
         equal = words[:, 1:] == words[:, :-1]  # no generator occurs three times
         keep = np.ones(words.shape, dtype=bool)
         keep[:, :-1] &= ~equal

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -56,6 +58,11 @@ def random_mixed_covariance(n_modes, rng):
         m[2 * p + 1, 2 * p] = -val
     q = random_orthogonal(2 * n_modes, rng)
     return CovarianceMatrix(q @ m @ q.T)
+
+
+def colex_sets(universe, size):
+    """Every ascending index set of ``size`` entries below ``universe``, in colex order."""
+    return sorted(combinations(range(universe), size), key=lambda idx: idx[::-1])
 
 
 def random_monomial(n_modes, rng, max_degree=4, even_only=False):

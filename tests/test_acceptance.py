@@ -22,14 +22,10 @@ from freeferm.circuits import (
     stats_compare,
 )
 from freeferm.gaussian import measurement_distribution, one_rdm, slater_covariance
-from freeferm.shadows import (
-    ShadowAccumulator,
-    _sample_bits_batch,
-    _sample_ensemble_batch,
-    exact_two_rdm,
-)
+from freeferm.shadows import ShadowAccumulator, exact_two_rdm
 
 from conftest import (
+    colex_sets,
     random_antisymmetric,
     random_mixed_covariance,
     random_pure_state,
@@ -68,7 +64,6 @@ def test_criterion_1_exact_channel_identity():
     ]
     assert len(elements) == 384
 
-    frame = ShadowAccumulator(2, 2).frame
     worst = 0.0
     for cov in states:
         weighted = {j: np.zeros(comb(4, 2 * j)) for j in (1, 2)}
@@ -88,7 +83,7 @@ def test_criterion_1_exact_channel_identity():
                     weighted[j] += probs[z] * single.sums[j]
         for j in (1, 2):
             means = weighted[j] / len(elements)
-            for rank, idx in enumerate(frame.sector_sets[j]):
+            for rank, idx in enumerate(colex_sets(4, 2 * j)):
                 truth = ff.wick_expectation(
                     cov, ff.MajoranaMonomial.canonical(2, idx)).real
                 worst = max(worst, abs(means[rank] - truth))
@@ -136,9 +131,7 @@ def error_curve(n, eta, noise, seed, checkpoints, mitigated=False):
     mark = next(marks)
     while done < total:
         size = min(batch, total - done, mark - done)
-        perms, signs = _sample_ensemble_batch(n, rng, size, "b")
-        bits = _sample_bits_batch(cov.matrix, perms, signs, rng)
-        bits = noise.apply_batch(bits, rng)
+        perms, signs, bits = ff.sample_snapshots(cov, size, rng, noise=noise)
         acc.add_batch(perms, signs, bits)
         done += size
         if done == mark:
@@ -222,9 +215,7 @@ def test_criterion_5_oracle_equivalence():
         cov, psi = random_pure_state(n, rng)
         born = dense.born_distribution(psi)
         # exact single-mode conditioning, sampled in one vectorized batch
-        identity = np.tile(np.arange(2 * n), (shots, 1))
-        ones = np.ones((shots, 2 * n), dtype=np.int8)
-        bits = _sample_bits_batch(cov.matrix, identity, ones, rng)
+        bits = ff.sample_bits(np.repeat(cov.matrix[None], shots, axis=0), rng)
         idx = (bits * (2 ** np.arange(n - 1, -1, -1))[None, :]).sum(axis=1)
         emp = np.bincount(idx, minlength=2 ** n) / shots
         tv_worst = max(tv_worst, 0.5 * float(np.sum(np.abs(emp - born))))
@@ -401,8 +392,7 @@ def test_criterion_9_sample_bound():
     reps = 200
     for _ in range(reps):
         acc = ShadowAccumulator(n, 2)
-        perms, signs = _sample_ensemble_batch(n, rng, m_bound, "b")
-        bits = _sample_bits_batch(cov.matrix, perms, signs, rng)
+        perms, signs, bits = ff.sample_snapshots(cov, m_bound, rng)
         acc.add_batch(perms, signs, bits)
         est = acc.estimates()
         if any(abs(est[idx] - truths[idx]) > epsilon for idx in observables):

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import freeferm as ff
-from freeferm import io
+from freeferm import cli, io
 from freeferm.cli import main
 
 from conftest import random_orthogonal, random_symmetric_integrals
@@ -82,6 +82,27 @@ def test_shadow_sim_outputs_and_determinism(runner, tmp_path):
     assert [int(row.split(",")[0]) for row in curve[1:]] == [1000, 2000]
     samples = files_a["samples.csv"].decode().strip().splitlines()
     assert len(samples) == 2001
+
+
+def test_shadow_sim_chunk_matches_sample_snapshots(runner, tmp_path):
+    # one chunk: the run is sample_snapshots on the chunk's stream, then add_batch
+    n, eta, seed = 5, 2, 9
+    assert not ff.symmetry_spec(n, eta).ancilla_added
+    out = tmp_path / "run"
+    res = runner.invoke(main, [
+        "shadow-sim", "--modes", str(n), "--eta", str(eta), "--samples", "1000",
+        "--seed", str(seed), "--noise", "bit_flip:0.1", "--out", str(out),
+    ])
+    assert res.exit_code == 0, res.output
+    cov = ff.slater_covariance(cli._random_slater(n, eta, seed))
+    perms, signs, bits = ff.sample_snapshots(cov, 1000, cli._chunk_rng(seed, 0),
+                                             noise=ff.NoiseModel("bit_flip", 0.1))
+    acc = ff.ShadowAccumulator(n, 2)
+    acc.add_batch(perms, signs, bits)
+    means, count, n_modes = io.estimates_from_json(
+        json.loads((out / "estimates.json").read_text()))
+    assert (count, n_modes) == (1000, n)
+    assert means == acc.estimates()
 
 
 def test_shadow_sim_alt_group(runner, tmp_path):

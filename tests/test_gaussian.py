@@ -358,9 +358,20 @@ def test_slater_covariance_matches_wick(rng):
 # ----------------------------------------------------------------- sampling
 
 def test_sampling_deterministic_states(rng):
-    assert ff.sample_measurement(ff.vacuum_covariance(3), rng) == (0, 0, 0)
+    vac = np.repeat(ff.vacuum_covariance(3).matrix[None], 5, axis=0)
+    assert (ff.sample_bits(vac, rng) == [0, 0, 0]).all()
     cov = slater_covariance(ff.SlaterDeterminant(np.eye(4)[:, :2]))
-    assert ff.sample_measurement(cov, rng) == (1, 1, 0, 0)
+    bits = ff.sample_bits(np.repeat(cov.matrix[None], 5, axis=0), rng)
+    assert bits.dtype == np.uint8 and (bits == [1, 1, 0, 0]).all()
+
+
+def test_sampling_rejects_nonphysical_probabilities(rng):
+    # twice the vacuum puts the first occupation probability at -1/2
+    stack = 2.0 * np.repeat(ff.vacuum_covariance(2).matrix[None], 3, axis=0)
+    with pytest.raises(ValueError, match="outside"):
+        ff.sample_bits(stack, rng)
+    with pytest.raises(ValueError, match="stack"):
+        ff.sample_bits(ff.vacuum_covariance(2).matrix.copy(), rng)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -377,12 +388,9 @@ def test_sampled_distribution_tv(rng):
     cov, psi = random_pure_state(n, rng)
     born = dense.born_distribution(psi)
     shots = 100_000
-    counts = np.zeros(2 ** n)
-    for _ in range(shots):
-        bits = ff.sample_measurement(cov, rng)
-        idx = int("".join(map(str, bits)), 2)
-        counts[idx] += 1
-    tv = 0.5 * np.sum(np.abs(counts / shots - born))
+    bits = ff.sample_bits(np.repeat(cov.matrix[None], shots, axis=0), rng)
+    idx = (bits * (2 ** np.arange(n - 1, -1, -1))[None, :]).sum(axis=1)
+    tv = 0.5 * np.sum(np.abs(np.bincount(idx, minlength=2 ** n) / shots - born))
     assert tv < 0.01
 
 

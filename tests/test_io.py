@@ -67,9 +67,9 @@ def test_estimates_round_trip(tmp_path):
 
 def test_sample_writer(tmp_path):
     path = tmp_path / "samples.csv"
-    q = ff.SignedPermutation(2, (2, 0, 3, 1), (1, -1, 1, 1))
     with io.SampleWriter(path) as writer:
-        writer.write(ff.ShadowSample(q, (1, 0)))
+        writer.write_raw(np.array([2, 0, 3, 1]), np.array([1, -1, 1, 1], dtype=np.int8),
+                         np.array([1, 0], dtype=np.uint8))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "id,permutation,signs,bits"
     assert lines[1] == "0,2 0 3 1,1 -1 1 1,10"

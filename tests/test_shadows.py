@@ -17,15 +17,13 @@ from freeferm.circuits import compile_naive, dense_unitary
 from freeferm.gaussian import measurement_distribution, one_rdm, slater_covariance
 from freeferm.shadows import (
     ShadowAccumulator,
-    _sample_bits_batch,
-    _sample_ensemble_batch,
     _two_rdm_map,
     exact_two_rdm,
     ladder_product_expansion,
 )
 from freeferm.tolerances import DEFAULT
 
-from conftest import random_mixed_covariance, random_pure_state, random_slater
+from conftest import colex_sets, random_mixed_covariance, random_pure_state, random_slater
 
 
 def spanning_states_n2(rng):
@@ -68,7 +66,7 @@ def exhaustive_estimator_average(cov):
     assert count == 384
     means = {}
     for j in weighted:
-        for rank, idx in enumerate(ShadowAccumulator(2, 2).frame.sector_sets[j]):
+        for rank, idx in enumerate(colex_sets(4, 2 * j)):
             means[idx] = weighted[j][rank] / count
     return means
 
@@ -95,19 +93,21 @@ def test_shadow_norms():
 # ----------------------------------------------------------------- sampling
 
 def test_alt2_is_trivial(rng):
-    q = ff.sample_ensemble(1, rng, group="alt")
-    assert q.perm == (0, 1) and q.signs == (1, 1)
+    perms, signs, bits = ff.sample_snapshots(ff.vacuum_covariance(1), 20, rng, group="alt")
+    assert (perms == [0, 1]).all() and (signs == 1).all()
+    assert not bits.any()
 
 
 def test_alt_group_has_even_parity(rng):
-    for _ in range(50):
-        q = ff.sample_ensemble(3, rng, group="alt")
-        assert q.perm_parity == 0 and all(s == 1 for s in q.signs)
+    perms, signs, _ = ff.sample_snapshots(ff.vacuum_covariance(3), 50, rng, group="alt")
+    assert (signs == 1).all()
+    for perm in perms.tolist():
+        assert ff.SignedPermutation(3, perm, (1,) * 6).perm_parity == 0
 
 
 def test_b4_uniformity_chi2(rng):
     draws = 100_000
-    perms, signs = _sample_ensemble_batch(2, rng, draws, "b")
+    perms, signs, _ = ff.sample_snapshots(ff.vacuum_covariance(2), draws, rng)
     # index each of the 384 elements
     keys = {}
     counts = np.zeros(384)
@@ -123,20 +123,21 @@ def test_b4_uniformity_chi2(rng):
 
 
 def test_group_closure(rng):
-    a = ff.sample_ensemble(3, rng)
-    b = ff.sample_ensemble(3, rng)
+    perms, signs, _ = ff.sample_snapshots(ff.vacuum_covariance(3), 2, rng)
+    a, b = (ff.SignedPermutation(3, perms[i].tolist(), signs[i].tolist()) for i in range(2))
     c = a.compose(b)
     assert isinstance(c, ff.SignedPermutation)
     assert sorted(c.perm) == list(range(6))
 
 
 def test_acquire_deterministic_cases(rng):
-    vac = ff.vacuum_covariance(3)
-    identity = ff.SignedPermutation.identity(3)
-    s = ff.acquire(vac, identity, ff.NoiseModel(), rng)
-    assert s.bits == (0, 0, 0)
-    s = ff.acquire(vac, identity, ff.NoiseModel("bit_flip", 1.0), rng)
-    assert s.bits == (1, 1, 1)
+    # Alt(2) holds only the identity, so one mode's vacuum always reads 0
+    vac = ff.vacuum_covariance(1)
+    _, _, bits = ff.sample_snapshots(vac, 10, rng, group="alt")
+    assert bits.shape == (10, 1) and not bits.any()
+    _, _, bits = ff.sample_snapshots(vac, 10, rng, group="alt",
+                                     noise=ff.NoiseModel("bit_flip", 1.0))
+    assert bits.all()
 
 
 def test_acquire_distribution_matches_dense(rng):
@@ -154,11 +155,9 @@ def test_acquire_distribution_matches_dense(rng):
     assert np.max(np.abs(exact - dense.born_distribution(psi))) < 1e-10
     # and the sampled path follows it
     shots = 20_000
-    counts = np.zeros(2 ** n)
-    samples = [ff.acquire(ff.vacuum_covariance(n), q, ff.NoiseModel(), rng) for _ in range(shots)]
-    for s in samples:
-        counts[int("".join(map(str, s.bits)), 2)] += 1
-    tv = 0.5 * np.sum(np.abs(counts / shots - exact))
+    bits = ff.sample_bits(np.repeat(rotated.matrix[None], shots, axis=0), rng)
+    idx = (bits * (2 ** np.arange(n - 1, -1, -1))[None, :]).sum(axis=1)
+    tv = 0.5 * np.sum(np.abs(np.bincount(idx, minlength=2 ** n) / shots - exact))
     assert tv < 0.02
 
 
@@ -166,13 +165,14 @@ def test_acquire_distribution_matches_dense(rng):
 
 def test_accumulate_identity_examples():
     n = 4
-    identity = ff.SignedPermutation.identity(n)
+    identity = np.arange(2 * n)[None, :]
+    ones = np.ones((1, 2 * n), dtype=np.int8)
     acc = ff.ShadowAccumulator(n, 1)
-    ff.accumulate(acc, ff.ShadowSample(identity, (0, 0, 0, 0)))
+    acc.add_batch(identity, ones, np.array([[0, 0, 0, 0]], dtype=np.uint8))
     est = acc.estimates()
     assert est[(0, 1)] == pytest.approx(7.0)
     acc = ff.ShadowAccumulator(n, 1)
-    ff.accumulate(acc, ff.ShadowSample(identity, (1, 0, 0, 0)))
+    acc.add_batch(identity, ones, np.array([[1, 0, 0, 0]], dtype=np.uint8))
     est = acc.estimates()
     assert est[(0, 1)] == pytest.approx(-7.0)
     assert all(len(idx) % 2 == 0 for idx in est)
@@ -184,25 +184,22 @@ def test_estimates_empty_raises():
 
 
 def test_single_sample_paths_agree(rng):
+    # one-snapshot batches add up to the same sums as one batch of all of them
     n = 3
-    acc_a = ff.ShadowAccumulator(n, 2)
-    acc_b = ff.ShadowAccumulator(n, 2)
-    for _ in range(50):
-        q = ff.sample_ensemble(n, rng)
-        bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
-        ff.accumulate(acc_a, ff.ShadowSample(q, bits))
-        acc_b.add_batch(
-            np.array(q.perm)[None, :],
-            np.array(q.signs)[None, :],
-            np.array(bits, dtype=np.uint8)[None, :],
-        )
-    for j in acc_a.sums:
-        assert np.array_equal(acc_a.sums[j], acc_b.sums[j])
+    perms, signs, bits = ff.sample_snapshots(ff.vacuum_covariance(n), 50, rng)
+    whole = ff.ShadowAccumulator(n, 2)
+    whole.add_batch(perms, signs, bits)
+    single = ff.ShadowAccumulator(n, 2)
+    for row in range(50):
+        single.add_batch(perms[row:row + 1], signs[row:row + 1], bits[row:row + 1])
+    assert single.count == whole.count == 50
+    for j in whole.sums:
+        assert np.max(np.abs(single.sums[j] - whole.sums[j])) < 1e-12
 
 
 def test_merge_matches_sequential(rng):
     n = 3
-    perms, signs = _sample_ensemble_batch(n, rng, 60, "b")
+    perms, signs, _ = ff.sample_snapshots(ff.vacuum_covariance(n), 60, rng)
     bits = rng.integers(0, 2, size=(60, n)).astype(np.uint8)
     whole = ff.ShadowAccumulator(n, 2)
     whole.add_batch(perms, signs, bits)
@@ -221,10 +218,10 @@ def test_merge_matches_sequential(rng):
 def test_single_shot_bounded(seed):
     n = 3
     rng = np.random.default_rng(seed)
-    q = ff.sample_ensemble(n, rng)
-    bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
+    perms, signs, _ = ff.sample_snapshots(ff.vacuum_covariance(n), 1, rng)
+    bits = rng.integers(0, 2, size=(1, n)).astype(np.uint8)
     acc = ff.ShadowAccumulator(n, 2)
-    ff.accumulate(acc, ff.ShadowSample(q, bits))
+    acc.add_batch(perms, signs, bits)
     est = acc.estimates()
     for idx, val in est.items():
         k = len(idx) // 2
@@ -238,10 +235,10 @@ def test_degree_preservation(seed):
     # one sample populates exactly C(n, j) sets in each degree sector
     n = 4
     rng = np.random.default_rng(seed)
-    q = ff.sample_ensemble(n, rng)
-    bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
+    perms, signs, _ = ff.sample_snapshots(ff.vacuum_covariance(n), 1, rng)
+    bits = rng.integers(0, 2, size=(1, n)).astype(np.uint8)
     acc = ff.ShadowAccumulator(n, 2)
-    ff.accumulate(acc, ff.ShadowSample(q, bits))
+    acc.add_batch(perms, signs, bits)
     from math import comb
 
     for j in (1, 2):
@@ -267,8 +264,7 @@ def test_sampled_estimates_converge(rng):
     cov = slater_covariance(s)
     acc = ff.ShadowAccumulator(n, 2)
     total = 60_000
-    perms, signs = _sample_ensemble_batch(n, rng, total, "b")
-    bits = _sample_bits_batch(cov.matrix, perms, signs, rng)
+    perms, signs, bits = ff.sample_snapshots(cov, total, rng)
     acc.add_batch(perms, signs, bits)
     est = acc.estimates()
     for idx, val in est.items():
@@ -482,9 +478,8 @@ def reference_two_rdm(est, n):
 def random_sectors(n, rng):
     """Random degree-2 and degree-4 sector arrays and the same values keyed by index set."""
     sectors = {j: rng.normal(size=comb(2 * n, 2 * j)) for j in (1, 2)}
-    acc = ShadowAccumulator(n, 2)
     keyed = {idx: float(sectors[j][r])
-             for j in (1, 2) for r, idx in enumerate(acc.frame.sector_sets[j])}
+             for j in (1, 2) for r, idx in enumerate(colex_sets(2 * n, 2 * j))}
     return sectors, keyed
 
 
@@ -530,13 +525,14 @@ def test_two_rdm_rejects_short_sectors(rng):
 
 def test_sector_means_match_estimates(rng):
     n = 4
-    perms, signs = _sample_ensemble_batch(n, rng, 200, "b")
+    perms, signs, _ = ff.sample_snapshots(ff.vacuum_covariance(n), 200, rng)
     bits = rng.integers(0, 2, size=(200, n)).astype(np.uint8)
     acc = ShadowAccumulator(n, 2)
     acc.add_batch(perms, signs, bits)
     keyed = acc.estimates()
+    assert len(keyed) == comb(2 * n, 2) + comb(2 * n, 4)
     for j, means in acc.sector_means().items():
-        for r, idx in enumerate(acc.frame.sector_sets[j]):
+        for r, idx in enumerate(colex_sets(2 * n, 2 * j)):
             assert means[r] == keyed[idx]
 
 
@@ -546,9 +542,8 @@ def test_mitigate_array_and_dict_forms_agree(rng):
     sectors, keyed = random_sectors(n, rng)
     arrays = ff.mitigate(sectors, spec)
     by_set = ff.mitigate(keyed, spec)
-    acc = ShadowAccumulator(n, 2)
     for j in (1, 2):
-        for r, idx in enumerate(acc.frame.sector_sets[j]):
+        for r, idx in enumerate(colex_sets(2 * n, 2 * j)):
             assert arrays[j][r] == by_set[idx]
 
 
