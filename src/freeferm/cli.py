@@ -203,7 +203,7 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
     if writer is not None:
         writer.close()
 
-    io.write_estimates(os.path.join(out, "estimates.json"), acc.estimates(), acc.count, n_sim)
+    io.write_estimates(os.path.join(out, "estimates.json"), acc.sector_means(), acc.count, n_sim)
     with open(os.path.join(out, "error_curve.csv"), "w") as fh:
         fh.write("T,unmitigated_error,mitigated_error\n")
         for t, raw, mit in curve_rows:
@@ -377,7 +377,7 @@ def _verify_checks(n: int, seed: int):
     acc_err = 0.0
     for j in weighted:
         sets = list(combinations(range(4), 2 * j))
-        for idx, rank in zip(sets, _colex_rank(np.array(sets)).tolist()):
+        for idx, rank in zip(sets, _colex_rank(np.array(sets), 4).tolist()):
             truth = wick_expectation(cov, MajoranaMonomial.canonical(2, idx)).real
             acc_err = max(acc_err, abs(weighted[j][rank] / count - truth))
     checks.append(("exhaustive estimator identity (n=2 vacuum)", acc_err <= 1e-12, f"max dev {acc_err:.2e}"))

@@ -359,10 +359,15 @@ def _conditional_update(m: np.ndarray, mode: int, bit, prob,
     m += update
 
 
-def _occupation_probability(m: np.ndarray, mode: int, slack: float):
-    """P(mode occupied) for a matrix or a stack, clamped to [0, 1] within ``slack``."""
+def _occupation_probability(m: np.ndarray, mode: int, slack: float, prefix):
+    """P(mode occupied) for a matrix or a stack, clamped to [0, 1].
+
+    Conditioning divides by each outcome's probability, so rounding grows like
+    1 / prefix, the probability of the outcomes conditioned on so far; ``slack``
+    bounds how far the joint probability prefix * p1 may leave [0, prefix].
+    """
     p1 = 0.5 * (1.0 - m[..., 2 * mode, 2 * mode + 1])
-    if np.any(p1 < -slack) or np.any(p1 > 1.0 + slack):
+    if np.any(prefix * p1 < -slack) or np.any(prefix * (p1 - 1.0) > slack):
         raise ValueError("conditional probability outside [0, 1] beyond slack")
     return np.clip(p1, 0.0, 1.0)
 
@@ -384,13 +389,16 @@ def sample_bits(matrices: np.ndarray, rng: np.random.Generator,
     bits = np.empty((size, n), dtype=np.uint8)
     draws = rng.random((size, n))
     work = (np.empty_like(matrices), np.empty_like(matrices))
+    prefix = np.ones(size)
     for j in range(n):
-        p1 = _occupation_probability(matrices, j, tol.prob_clamp)
+        p1 = _occupation_probability(matrices, j, tol.prob_clamp, prefix)
         bit = draws[:, j] < p1
         bits[:, j] = bit
         if j < n - 1:
             # draws lie in [0, 1), so the drawn outcome has probability > 0
-            _conditional_update(matrices, j, bit, np.where(bit, p1, 1.0 - p1), work)
+            prob = np.where(bit, p1, 1.0 - p1)
+            _conditional_update(matrices, j, bit, prob, work)
+            prefix *= prob
     return bits
 
 
@@ -406,15 +414,13 @@ def measurement_distribution(g: CovarianceMatrix, tol: Tolerances = DEFAULT) -> 
     work = (np.empty((2 * n, 2 * n)), np.empty((2 * n, 2 * n)))
 
     def descend(m, mode, prefix_prob, index):
-        if prefix_prob == 0.0:
-            return
         if mode == n:
             out[index] = prefix_prob
             return
-        p1 = _occupation_probability(m, mode, tol.prob_clamp)
+        p1 = _occupation_probability(m, mode, tol.prob_clamp, prefix_prob)
         for bit, pb in ((0, 1.0 - p1), (1, p1)):
-            if pb <= 0.0:
-                continue
+            if prefix_prob * pb <= tol.prob_clamp:
+                continue  # impossible within the slack, e.g. forbidden by parity
             m2 = m.copy()
             if mode < n - 1:
                 _conditional_update(m2, mode, bit, pb, work)

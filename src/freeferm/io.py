@@ -6,12 +6,16 @@ every double survives a write/read cycle bit-exactly.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
+from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
 from .circuits import GateProgram, PauliLayer, XXRot, ZRot
 from .partition import AnticommutingPartition, ElectronicIntegrals
+from .shadows import _colex_rank
 
 MATRIX_KINDS = ("covariance", "quadratic_hamiltonian", "orthogonal")
 
@@ -114,25 +118,42 @@ def read_integrals(path) -> ElectronicIntegrals:
         return integrals_from_json(json.load(fh))
 
 
-def estimates_to_json(means: dict, count: int, n_modes: int) -> dict:
-    body = {
-        ",".join(map(str, idx)): {"mean": val, "count": count}
-        for idx, val in sorted(means.items())
-    }
-    return {"n_modes": n_modes, "count": count, "estimates": body}
+def estimates_from_json(obj: dict) -> tuple[dict[int, np.ndarray], int, int]:
+    """Sector arrays, count and mode count: the inverse of ``write_estimates``.
+
+    Each degree the file holds must cover every ascending set of that degree
+    below 2 n_modes, and no other key may occur, else ``ValueError``.
+    """
+    n_modes, body = int(obj["n_modes"]), obj["estimates"]
+    sectors = {}
+    for degree in sorted({key.count(",") + 1 for key in body}):
+        sets = list(combinations(range(2 * n_modes), degree))
+        keys = [",".join(map(str, idx)) for idx in sets]
+        if degree % 2 or any(key not in body for key in keys):
+            raise ValueError(f"estimates do not cover the degree-{degree} sector")
+        rows = np.array(sets, dtype=np.int64).reshape(len(sets), degree)
+        sectors[degree // 2] = np.empty(len(sets))
+        sectors[degree // 2][_colex_rank(rows, 2 * n_modes)] = [body[key]["mean"] for key in keys]
+    if sum(map(len, sectors.values())) != len(body):
+        raise ValueError("estimates hold keys that are not ascending index sets")
+    return sectors, int(obj["count"]), n_modes
 
 
-def estimates_from_json(obj: dict) -> tuple[dict, int, int]:
-    means = {}
-    for key, item in obj["estimates"].items():
-        idx = tuple(int(x) for x in key.split(",") if x != "")
-        means[idx] = float(item["mean"])
-    return means, int(obj["count"]), int(obj["n_modes"])
+def write_estimates(path, sectors: dict, count: int, n_modes: int) -> None:
+    """Write sector arrays {j: means in colex order} as ``estimates.json``.
 
-
-def write_estimates(path, means: dict, count: int, n_modes: int) -> None:
+    Keys are ascending index sets in lexicographic tuple order: each degree's
+    sets come from ``combinations`` in that order, and the degrees are merged.
+    """
+    streams = []
+    for j, means in sectors.items():
+        sets = list(combinations(range(2 * n_modes), 2 * j))
+        rows = np.array(sets, dtype=np.int64).reshape(len(sets), 2 * j)
+        streams.append(zip(sets, means[_colex_rank(rows, 2 * n_modes)].tolist()))
+    body = {",".join(map(str, idx)): {"mean": val, "count": count}
+            for idx, val in heapq.merge(*streams, key=itemgetter(0))}
     with open(path, "w") as fh:
-        json.dump(estimates_to_json(means, count, n_modes), fh)
+        json.dump({"n_modes": n_modes, "count": count, "estimates": body}, fh)
         fh.write("\n")
 
 

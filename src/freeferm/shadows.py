@@ -13,6 +13,13 @@ permutation, so a size-T sample yields all degree <= 2k estimates in
 O(n^k T) time. Symmetry adjustment divides each degree sector by the
 measured-to-ideal ratio of the corresponding particle-number moment,
 cancelling noise that acts uniformly inside the sector.
+
+Estimates exist in one form, sector arrays {j: degree-2j means}, each indexed
+by the colex rank of its ascending index sets (``_colex_rank``).
+``ShadowAccumulator.sector_means`` produces them; ``mitigate`` maps them to
+adjusted arrays, ``two_rdm`` reads the degree-2 and degree-4 sectors, and
+``io.write_estimates`` and ``io.estimates_from_json`` carry them to and from
+``estimates.json``.
 """
 from __future__ import annotations
 
@@ -156,44 +163,23 @@ def sample_snapshots(cov: CovarianceMatrix, size: int, rng: np.random.Generator,
     return perms, signs, noise.apply_batch(bits, rng)
 
 
-class _Frame:
-    """Precomputed index bookkeeping for degree sectors up to k_max."""
+@lru_cache(maxsize=16)
+def _frame(n_modes: int, k_max: int) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
+    """Per degree 2j <= 2 k_max: the diagonal sets (2p, 2p+1, ...), their modes, 1/lambda_j.
 
-    _cache: dict = {}
-
-    def __new__(cls, n_modes: int, k_max: int):
-        key = (n_modes, k_max)
-        if key in cls._cache:
-            return cls._cache[key]
-        self = super().__new__(cls)
-        self.n_modes = n_modes
-        self.k_max = k_max
-        m = 2 * n_modes
-        if not 1 <= k_max <= n_modes:
-            raise ValueError("k_max must lie in [1, n_modes]")
-        # colex ranking table: rank(mu) = sum_i C(mu_i, i + 1)
-        self.rank_table = np.array(
-            [[comb(x, t + 1) for t in range(2 * k_max)] for x in range(m)], dtype=np.int64
-        )
-        self.diag_sets = {}
-        self.diag_qubits = {}
-        self.lambda_inv = {}
-        for j in range(1, k_max + 1):
-            pairs = list(combinations(range(n_modes), j))
-            self.diag_qubits[j] = np.array(pairs, dtype=np.int64)
-            tau = np.array(
-                [[idx for p in pair for idx in (2 * p, 2 * p + 1)] for pair in pairs],
-                dtype=np.int64,
-            )
-            self.diag_sets[j] = tau
-            self.lambda_inv[j] = float(1 / channel_eigenvalue(n_modes, j))
-        cls._cache[key] = self
-        return self
-
-    def rank_rows(self, mu: np.ndarray) -> np.ndarray:
-        """Colex ranks of ascending index rows."""
-        cols = np.arange(mu.shape[1])
-        return self.rank_table[mu, cols[None, :]].sum(axis=1)
+    Cached per (n_modes, k_max) with read-only arrays, so pool threads share them.
+    """
+    if not 1 <= k_max <= n_modes:
+        raise ValueError("k_max must lie in [1, n_modes]")
+    frame = []
+    for j in range(1, k_max + 1):
+        pairs = list(combinations(range(n_modes), j))
+        qubits = np.array(pairs, dtype=np.int64)
+        tau = np.array([[idx for p in pair for idx in (2 * p, 2 * p + 1)] for pair in pairs],
+                       dtype=np.int64)
+        qubits.flags.writeable = tau.flags.writeable = False
+        frame.append((tau, qubits, float(1 / channel_eigenvalue(n_modes, j))))
+    return tuple(frame)
 
 
 class ShadowAccumulator:
@@ -205,7 +191,7 @@ class ShadowAccumulator:
     """
 
     def __init__(self, n_modes: int, k_max: int):
-        self.frame = _Frame(n_modes, k_max)
+        self.frame = _frame(n_modes, k_max)
         self.n_modes = n_modes
         self.k_max = k_max
         self.sums = {
@@ -219,17 +205,14 @@ class ShadowAccumulator:
         if perms.shape[1] != 2 * self.n_modes or bits.shape[1] != self.n_modes:
             raise ValueError("batch shape mismatch")
         zsign = 1.0 - 2.0 * bits.astype(float)
-        for j in range(1, self.k_max + 1):
-            tau = self.frame.diag_sets[j]        # (S, 2j)
-            qubits = self.frame.diag_qubits[j]   # (S, j)
-            lam_inv = self.frame.lambda_inv[j]
+        for j, (tau, qubits, lam_inv) in enumerate(self.frame, start=1):
             for t in range(tau.shape[0]):
                 image = perms[:, tau[t]]
                 mu, parity = _sort_rows_with_parity(image)
                 sign = signs[:, tau[t]].prod(axis=1).astype(float)
                 sign *= 1.0 - 2.0 * parity
                 zval = zsign[:, qubits[t]].prod(axis=1)
-                ranks = self.frame.rank_rows(mu)
+                ranks = _colex_rank(mu, 2 * self.n_modes)
                 np.add.at(self.sums[j], ranks, lam_inv * sign * zval)
         self.count += size
 
@@ -246,14 +229,6 @@ class ShadowAccumulator:
         if self.count < 1:
             raise ValueError("empty accumulator")
         return {j: sums / self.count for j, sums in self.sums.items()}
-
-    def estimates(self) -> dict[tuple[int, ...], float]:
-        """Empirical means keyed by ascending Majorana index sets."""
-        out = {}
-        for j, means in self.sector_means().items():
-            sets = list(combinations(range(2 * self.n_modes), 2 * j))
-            out.update(zip(sets, means[_colex_rank(np.array(sets, dtype=np.int64))].tolist()))
-        return out
 
 
 def sample_bound(epsilon: float, delta: float, n_observables: int,
@@ -303,57 +278,33 @@ def symmetry_spec(n: int, eta: int, auto_ancilla: bool = True,
     return SymmetrySpec(n_modes=n, eta=eta, s2=s2, s4=s4, ancilla_added=ancilla)
 
 
-def _colex_rank(sets: np.ndarray) -> np.ndarray:
-    """Colex ranks sum_t C(sets[:, t], t + 1) of ascending index rows.
+@lru_cache(maxsize=32)
+def _binomial_table(universe: int, width: int) -> np.ndarray:
+    """Read-only table of C(x, t + 1) for x < universe and t < width."""
+    table = np.array([[comb(x, t + 1) for t in range(width)] for x in range(universe)],
+                     dtype=np.int64).reshape(universe, width)
+    table.flags.writeable = False
+    return table
 
-    A rank does not depend on the size of the index universe, so the sector
-    over the first 2n indices is a prefix of the same sector over 2n + 2.
+
+def _colex_rank(sets: np.ndarray, universe: int) -> np.ndarray:
+    """Colex ranks sum_t C(sets[:, t], t + 1) of ascending index rows below ``universe``.
+
+    ``universe`` only sizes the cached binomial table: a rank does not depend
+    on it, so the sector over the first 2n indices is a prefix of the same
+    sector over 2n + 2. Every sector array is indexed by this rank.
     """
-    rank = np.zeros(sets.shape[0], dtype=np.int64)
-    for t in range(sets.shape[1]):
-        binom = np.ones(sets.shape[0], dtype=np.int64)
-        for i in range(t + 1):
-            binom = binom * (sets[:, t] - i) // (i + 1)
-        rank += binom
-    return rank
-
-
-def _as_sectors(est: dict) -> dict[int, np.ndarray]:
-    """Estimates as {j: degree-2j sector means in colex order}.
-
-    Sector arrays pass through; a dict keyed by ascending index sets is
-    ranked into them and must cover every set of each degree it holds.
-    """
-    if not est or not isinstance(next(iter(est)), tuple):
-        return est
-    universe = 2 * (max(max(idx) for idx in est if idx) // 2 + 1)
-    sectors = {}
-    for j in sorted({len(idx) // 2 for idx in est if idx and len(idx) % 2 == 0}):
-        sets = [idx for idx in est if len(idx) == 2 * j]
-        size = comb(universe, 2 * j)
-        ranks = _colex_rank(np.array(sets, dtype=np.int64))
-        seen = np.zeros(size, dtype=bool)
-        seen[ranks] = True
-        if len(sets) != size or not seen.all():
-            raise KeyError(f"estimates do not cover the degree-{2 * j} sector")
-        sectors[j] = np.empty(size)
-        sectors[j][ranks] = [est[idx] for idx in sets]
-    return sectors
-
-
-def _diagonal_ranks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Colex ranks of (2p, 2p+1) and of (2p, 2p+1, 2q, 2q+1), p < q, in that order."""
-    one = [(2 * p, 2 * p + 1) for p in range(n)]
-    two = [a + b for a, b in combinations(one, 2)]
-    return (_colex_rank(np.array(one, dtype=np.int64).reshape(-1, 2)),
-            _colex_rank(np.array(two, dtype=np.int64).reshape(-1, 4)))
+    table = _binomial_table(universe, sets.shape[1])
+    return sum(table[sets[:, t], t] for t in range(sets.shape[1]))
 
 
 def _symmetry_ratios(sectors: dict, spec: SymmetrySpec, tol: Tolerances) -> dict[int, float]:
-    one, two = _diagonal_ranks(spec.n_modes)
+    # (2p, 2p+1) and (2p, 2p+1, 2q, 2q+1), p < q, in that order
+    (one, _, _), (two, _, _) = _frame(spec.n_modes, 2)
+    universe = 2 * spec.n_modes
     # builtin sum keeps the left-to-right order of the scalar formula
-    s2_hat = -0.5 * sum(sectors[1][one].tolist())
-    s4_hat = 0.5 * sum(sectors[2][two].tolist())
+    s2_hat = -0.5 * sum(sectors[1][_colex_rank(one, universe)].tolist())
+    s4_hat = 0.5 * sum(sectors[2][_colex_rank(two, universe)].tolist())
     ratios = {1: s2_hat / spec.s2, 2: s4_hat / spec.s4}
     for k, r in ratios.items():
         if abs(r) < tol.mitigation_guard:
@@ -364,20 +315,17 @@ def _symmetry_ratios(sectors: dict, spec: SymmetrySpec, tol: Tolerances) -> dict
     return ratios
 
 
-def mitigate(est: dict, spec: SymmetrySpec, tol: Tolerances = DEFAULT) -> dict:
+def mitigate(sectors: dict, spec: SymmetrySpec, tol: Tolerances = DEFAULT) -> dict:
     """Symmetry-adjusted estimates: divide each sector by its measured ratio.
 
-    ``est`` holds sector arrays ({j: means in colex order}, as from
-    ``ShadowAccumulator.sector_means``) or a dict keyed by index sets; the
-    result has the same form.
+    ``sectors`` holds the degree-2 and degree-4 sector arrays ({j: means in
+    colex order}, as from ``ShadowAccumulator.sector_means``); so does the
+    result.
     """
-    if any(len(key) > 4 if isinstance(key, tuple) else key > 2 for key in est):
+    if any(key > 2 for key in sectors):
         raise ValueError("symmetry adjustment is defined for the one- and two-body sectors")
-    sectors = _as_sectors(est)
     ratios = _symmetry_ratios(sectors, spec, tol)
-    if sectors is est:
-        return {j: values / ratios[j] for j, values in est.items()}
-    return {idx: value / ratios[len(idx) // 2] for idx, value in est.items()}
+    return {j: values / ratios[j] for j, values in sectors.items()}
 
 
 def ladder_product_expansion(n_modes: int, ops: list[tuple[int, bool]]) -> dict:
@@ -441,8 +389,8 @@ def _ladder_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         phase += degree * (degree - 1) // 2
         col = np.full(len(words), -1, dtype=np.int64)
         two, four = degree == 2, degree == 4
-        col[two] = _colex_rank(words[two][keep[two]].reshape(-1, 2))
-        col[four] = comb(2 * n, 2) + _colex_rank(words[four])
+        col[two] = _colex_rank(words[two][keep[two]].reshape(-1, 2), 2 * n)
+        col[four] = comb(2 * n, 2) + _colex_rank(words[four], 2 * n)
         entry.append(np.arange(len(words)))
         column.append(col)
         phases.append(phase)
@@ -477,18 +425,18 @@ def _two_rdm_map(n: int) -> _RdmMap:
     return rdm_map
 
 
-def two_rdm(est: dict, n: int) -> np.ndarray:
+def two_rdm(sectors: dict, n: int) -> np.ndarray:
     """Assemble the two-body RDM from degree <= 4 Majorana estimates.
 
-    ``est`` holds sector arrays ({j: means in colex order}) or a dict keyed
-    by index sets. Rows and columns run over ascending pairs (p, q); the
-    (row, col) entry is the expectation of a_p+ a_q+ a_s a_r for row (p, q),
-    column (r, s). Modes beyond ``n`` (an ancilla, for instance) are ignored.
+    ``sectors`` holds the sector arrays {j: means in colex order}, as from
+    ``ShadowAccumulator.sector_means``. Rows and columns run over ascending
+    pairs (p, q); the (row, col) entry is the expectation of a_p+ a_q+ a_s a_r
+    for row (p, q), column (r, s). Modes beyond ``n`` (an ancilla, for
+    instance) are ignored.
     The work is one gather and one bincount through a map cached per ``n``.
     """
     if n < 2:
         return np.zeros((0, 0), dtype=complex)
-    sectors = _as_sectors(est)
     rdm_map = _two_rdm_map(n)
     n_two, n_four = comb(2 * n, 2), comb(2 * n, 4)
     if len(sectors[1]) < n_two or len(sectors[2]) < n_four:

@@ -135,7 +135,7 @@ def error_curve(n, eta, noise, seed, checkpoints, mitigated=False):
         acc.add_batch(perms, signs, bits)
         done += size
         if done == mark:
-            est = acc.estimates()
+            est = acc.sector_means()
             raw_errors.append(np.linalg.norm(ff.two_rdm(est, n) - truth, 2))
             if mitigated:
                 adj = ff.mitigate(est, spec)
@@ -380,22 +380,24 @@ def test_criterion_9_sample_bound():
     rng = np.random.default_rng(900)
     n = 2
     cov, _ = random_pure_state(n, rng)
-    observables = [idx for j in (1, 2) for idx in combinations(range(2 * n), 2 * j)]
+    observables = {j: colex_sets(2 * n, 2 * j) for j in (1, 2)}
     truths = {
-        idx: ff.wick_expectation(cov, ff.MajoranaMonomial.canonical(n, idx)).real
-        for idx in observables
+        j: np.array([ff.wick_expectation(cov, ff.MajoranaMonomial.canonical(n, idx)).real
+                     for idx in sets])
+        for j, sets in observables.items()
     }
+    n_observables = sum(len(sets) for sets in observables.values())
     epsilon, delta = 0.1, 0.01
     max_sq = max(float(1 / ff.channel_eigenvalue(n, j)) for j in (1, 2))
-    m_bound = ff.sample_bound(epsilon, delta, len(observables), max_sq)
+    m_bound = ff.sample_bound(epsilon, delta, n_observables, max_sq)
     failures = 0
     reps = 200
     for _ in range(reps):
         acc = ShadowAccumulator(n, 2)
         perms, signs, bits = ff.sample_snapshots(cov, m_bound, rng)
         acc.add_batch(perms, signs, bits)
-        est = acc.estimates()
-        if any(abs(est[idx] - truths[idx]) > epsilon for idx in observables):
+        est = acc.sector_means()
+        if any(np.any(np.abs(est[j] - truths[j]) > epsilon) for j in truths):
             failures += 1
     frequency = failures / reps
     coverage_ok = frequency <= delta

@@ -99,10 +99,12 @@ def test_shadow_sim_chunk_matches_sample_snapshots(runner, tmp_path):
                                              noise=ff.NoiseModel("bit_flip", 0.1))
     acc = ff.ShadowAccumulator(n, 2)
     acc.add_batch(perms, signs, bits)
-    means, count, n_modes = io.estimates_from_json(
+    sectors, count, n_modes = io.estimates_from_json(
         json.loads((out / "estimates.json").read_text()))
     assert (count, n_modes) == (1000, n)
-    assert means == acc.estimates()
+    expected = acc.sector_means()
+    assert sectors.keys() == expected.keys()
+    assert all(np.array_equal(sectors[j], expected[j]) for j in expected)
 
 
 def test_shadow_sim_alt_group(runner, tmp_path):

@@ -383,6 +383,20 @@ def test_measurement_distribution_matches_dense(n, rng):
         assert abs(dist.sum() - 1.0) < 1e-12
 
 
+def test_conditioning_slack_scales_with_prefix_probability():
+    # two n = 4 pure states that raised: after an unlikely outcome prefix, the
+    # input's rounding, grown by 1 / prefix, pushed a forced outcome past 1 + slack
+    rng = np.random.default_rng(5)
+    draws = [rng.normal(size=(2 * n, 2 * n)) for n in range(1, 6) for _ in range(20)]
+    for g in draws[61:63]:
+        a = 0.7 * (g - g.T)
+        cov = ff.evolve(ff.vacuum_covariance(4), expm(a))
+        psi = dense.apply(dense.gaussian_unitary(4, a), dense.vacuum_state(4))
+        dist = measurement_distribution(cov)
+        assert np.max(np.abs(dist - dense.born_distribution(psi))) < 1e-9
+        ff.sample_bits(np.repeat(cov.matrix[None], 2000, axis=0), rng)
+
+
 def test_sampled_distribution_tv(rng):
     n = 3
     cov, psi = random_pure_state(n, rng)

@@ -1,5 +1,6 @@
 """Serialization round trips for the file formats."""
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import freeferm as ff
 from freeferm import io
 
-from conftest import random_orthogonal, random_symmetric_integrals
+from conftest import colex_sets, random_orthogonal, random_symmetric_integrals
 
 
 def test_matrix_round_trip(tmp_path, rng):
@@ -58,11 +59,42 @@ def test_integrals_round_trip(tmp_path, rng):
 
 
 def test_estimates_round_trip(tmp_path):
-    means = {(0, 1): 0.25, (0, 1, 2, 3): -1.0 / 7.0}
+    sectors = {1: np.array([0.25, -1.0 / 7.0, 0.0, 1e-300, -3.5, 2.0 / 3.0]),
+               2: np.array([-1.0 / 7.0])}
     path = tmp_path / "est.json"
-    io.write_estimates(path, means, count=128, n_modes=2)
+    io.write_estimates(path, sectors, count=128, n_modes=2)
     back, count, n_modes = io.estimates_from_json(json.loads(path.read_text()))
-    assert back == means and count == 128 and n_modes == 2
+    assert back.keys() == sectors.keys() and count == 128 and n_modes == 2
+    assert all(np.array_equal(back[j], sectors[j]) for j in sectors)
+
+
+def test_write_estimates_matches_sorted_dump(tmp_path, rng):
+    # n = 4 with k = 3: degrees 2, 4 and 6 interleave in tuple order
+    n, count = 4, 77
+    sectors = {j: rng.normal(size=comb(2 * n, 2 * j)) for j in (1, 2, 3)}
+    keyed = {idx: float(sectors[j][r])
+             for j in sectors for r, idx in enumerate(colex_sets(2 * n, 2 * j))}
+    body = {",".join(map(str, idx)): {"mean": keyed[idx], "count": count}
+            for idx in sorted(keyed)}
+    expected = json.dumps({"n_modes": n, "count": count, "estimates": body}) + "\n"
+    path = tmp_path / "est.json"
+    io.write_estimates(path, sectors, count, n)
+    assert path.read_bytes() == expected.encode()
+
+
+def test_estimates_from_json_rejects_missing_set(tmp_path, rng):
+    n = 3
+    sectors = {j: rng.normal(size=comb(2 * n, 2 * j)) for j in (1, 2)}
+    path = tmp_path / "est.json"
+    io.write_estimates(path, sectors, 10, n)
+    obj = json.loads(path.read_text())
+    del obj["estimates"]["1,2,4,5"]
+    with pytest.raises(ValueError, match="degree-4"):
+        io.estimates_from_json(obj)
+    obj = json.loads(path.read_text())
+    obj["estimates"]["1,0"] = obj["estimates"]["0,1"]
+    with pytest.raises(ValueError, match="not ascending"):
+        io.estimates_from_json(obj)
 
 
 def test_sample_writer(tmp_path):

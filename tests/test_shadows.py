@@ -17,6 +17,7 @@ from freeferm.circuits import compile_naive, dense_unitary
 from freeferm.gaussian import measurement_distribution, one_rdm, slater_covariance
 from freeferm.shadows import (
     ShadowAccumulator,
+    _frame,
     _two_rdm_map,
     exact_two_rdm,
     ladder_product_expansion,
@@ -69,6 +70,13 @@ def exhaustive_estimator_average(cov):
         for rank, idx in enumerate(colex_sets(4, 2 * j)):
             means[idx] = weighted[j][rank] / count
     return means
+
+
+def exact_sectors(cov, n):
+    """Exact degree-2 and degree-4 expectations as sector arrays, in colex order."""
+    return {j: np.array([ff.wick_expectation(cov, ff.MajoranaMonomial.canonical(n, idx)).real
+                         for idx in colex_sets(2 * n, 2 * j)])
+            for j in (1, 2)}
 
 
 # ------------------------------------------------------- channel eigenvalues
@@ -167,20 +175,21 @@ def test_accumulate_identity_examples():
     n = 4
     identity = np.arange(2 * n)[None, :]
     ones = np.ones((1, 2 * n), dtype=np.int8)
+    rank = colex_sets(2 * n, 2).index((0, 1))
     acc = ff.ShadowAccumulator(n, 1)
     acc.add_batch(identity, ones, np.array([[0, 0, 0, 0]], dtype=np.uint8))
-    est = acc.estimates()
-    assert est[(0, 1)] == pytest.approx(7.0)
+    est = acc.sector_means()
+    assert est[1][rank] == pytest.approx(7.0)
     acc = ff.ShadowAccumulator(n, 1)
     acc.add_batch(identity, ones, np.array([[1, 0, 0, 0]], dtype=np.uint8))
-    est = acc.estimates()
-    assert est[(0, 1)] == pytest.approx(-7.0)
-    assert all(len(idx) % 2 == 0 for idx in est)
+    est = acc.sector_means()
+    assert est[1][rank] == pytest.approx(-7.0)
+    assert list(est) == [1] and len(est[1]) == comb(2 * n, 2)
 
 
 def test_estimates_empty_raises():
     with pytest.raises(ValueError):
-        ff.ShadowAccumulator(2, 1).estimates()
+        ff.ShadowAccumulator(2, 1).sector_means()
 
 
 def test_single_sample_paths_agree(rng):
@@ -222,11 +231,9 @@ def test_single_shot_bounded(seed):
     bits = rng.integers(0, 2, size=(1, n)).astype(np.uint8)
     acc = ff.ShadowAccumulator(n, 2)
     acc.add_batch(perms, signs, bits)
-    est = acc.estimates()
-    for idx, val in est.items():
-        k = len(idx) // 2
-        bound = float(1 / ff.channel_eigenvalue(n, k))
-        assert abs(val) <= bound + 1e-9
+    for j, means in acc.sector_means().items():
+        bound = float(1 / ff.channel_eigenvalue(n, j))
+        assert np.all(np.abs(means) <= bound + 1e-9)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -266,12 +273,11 @@ def test_sampled_estimates_converge(rng):
     total = 60_000
     perms, signs, bits = ff.sample_snapshots(cov, total, rng)
     acc.add_batch(perms, signs, bits)
-    est = acc.estimates()
-    for idx, val in est.items():
-        truth = ff.wick_expectation(cov, ff.MajoranaMonomial.canonical(n, idx)).real
-        k = len(idx) // 2
-        sigma = float(1 / ff.channel_eigenvalue(n, k)) ** 0.5 / total ** 0.5
-        assert abs(val - truth) < 6 * sigma + 1e-3
+    est = acc.sector_means()
+    for j, truths in exact_sectors(cov, n).items():
+        sigma = float(1 / ff.channel_eigenvalue(n, j)) ** 0.5 / total ** 0.5
+        for rank, truth in enumerate(truths):
+            assert abs(est[j][rank] - truth) < 6 * sigma + 1e-3
 
 
 # ------------------------------------------------------------- sample bounds
@@ -315,13 +321,10 @@ def test_mitigate_noiseless_is_identity(rng):
     s = random_slater(n, eta, rng)
     cov = slater_covariance(s)
     spec = ff.symmetry_spec(n, eta)
-    exact = {}
-    for j in (1, 2):
-        for idx in combinations(range(2 * n), 2 * j):
-            exact[idx] = ff.wick_expectation(cov, ff.MajoranaMonomial.canonical(n, idx)).real
+    exact = exact_sectors(cov, n)
     out = ff.mitigate(exact, spec)
-    for idx, val in out.items():
-        assert val == pytest.approx(exact[idx], abs=1e-12)
+    for j, values in out.items():
+        assert np.max(np.abs(values - exact[j])) <= 1e-12
 
 
 def test_mitigate_recovers_uniform_scaling(rng):
@@ -329,26 +332,23 @@ def test_mitigate_recovers_uniform_scaling(rng):
     s = random_slater(n, eta, rng)
     cov = slater_covariance(s)
     spec = ff.symmetry_spec(n, eta)
-    exact = {}
-    for j in (1, 2):
-        for idx in combinations(range(2 * n), 2 * j):
-            exact[idx] = ff.wick_expectation(cov, ff.MajoranaMonomial.canonical(n, idx)).real
-    scaled = {idx: (0.61 if len(idx) == 2 else 0.37) * val for idx, val in exact.items()}
+    exact = exact_sectors(cov, n)
+    scaled = {1: 0.61 * exact[1], 2: 0.37 * exact[2]}
     out = ff.mitigate(scaled, spec)
-    for idx, val in out.items():
-        assert val == pytest.approx(exact[idx], abs=1e-10)
+    for j, values in out.items():
+        assert np.max(np.abs(values - exact[j])) <= 1e-10
 
 
-def test_mitigate_guards():
-    spec = ff.SymmetrySpec(2, 1, s2=-1.0, s4=-0.5, ancilla_added=False)
-    zeros = {idx: 0.0 for j in (1, 2) for idx in combinations(range(4), 2 * j)}
+def test_mitigate_guards(rng):
+    n, eta = 5, 2
+    spec = ff.symmetry_spec(n, eta)
+    exact = exact_sectors(slater_covariance(random_slater(n, eta, rng)), n)
+    # the two-body ratio alone vanishing is enough to refuse
     with pytest.raises(ff.MitigationError):
-        ff.mitigate(zeros, spec)
-    too_deep = dict(zeros)
-    too_deep[(0, 1, 2, 3)] = 0.1
-    too_deep[tuple(range(6))] = 0.0
+        ff.mitigate({1: exact[1], 2: np.zeros_like(exact[2])}, spec)
+    # a deeper sector is refused even when both ratios are sound
     with pytest.raises(ValueError):
-        ff.mitigate({tuple(range(6)): 0.0, **zeros}, spec)
+        ff.mitigate({**exact, 3: np.zeros(comb(2 * n, 6))}, spec)
 
 
 # -------------------------------------------------------------- noise models
@@ -445,11 +445,7 @@ def test_two_rdm_from_exact_inputs(rng):
     n, eta = 4, 2
     s = random_slater(n, eta, rng)
     cov = slater_covariance(s)
-    exact = {}
-    for j in (1, 2):
-        for idx in combinations(range(2 * n), 2 * j):
-            exact[idx] = ff.wick_expectation(cov, ff.MajoranaMonomial.canonical(n, idx)).real
-    d2 = ff.two_rdm(exact, n)
+    d2 = ff.two_rdm(exact_sectors(cov, n), n)
     ref = exact_two_rdm(one_rdm(s))
     assert np.max(np.abs(d2 - ref)) < 1e-10
     assert np.max(np.abs(d2 - d2.conj().T)) < 1e-12
@@ -488,7 +484,6 @@ def test_two_rdm_map_matches_ladder_expansion(n, rng):
     sectors, keyed = random_sectors(n, rng)
     ref = reference_two_rdm(keyed, n)
     assert np.max(np.abs(ff.two_rdm(sectors, n) - ref)) < 1e-12
-    assert np.max(np.abs(ff.two_rdm(keyed, n) - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -497,7 +492,6 @@ def test_two_rdm_map_ignores_ancilla(n, rng):
     sectors, keyed = random_sectors(n + 1, rng)
     ref = reference_two_rdm(keyed, n)
     assert np.max(np.abs(ff.two_rdm(sectors, n) - ref)) < 1e-12
-    assert np.max(np.abs(ff.two_rdm(keyed, n) - ref)) < 1e-12
 
 
 def test_two_rdm_map_is_shared_read_only(rng):
@@ -524,27 +518,26 @@ def test_two_rdm_rejects_short_sectors(rng):
 
 
 def test_sector_means_match_estimates(rng):
-    n = 4
-    perms, signs, _ = ff.sample_snapshots(ff.vacuum_covariance(n), 200, rng)
-    bits = rng.integers(0, 2, size=(200, n)).astype(np.uint8)
+    # add_batch against a per-snapshot, per-set reference keyed by index set
+    n, size = 4, 200
+    perms, signs, _ = ff.sample_snapshots(ff.vacuum_covariance(n), size, rng)
+    bits = rng.integers(0, 2, size=(size, n)).astype(np.uint8)
     acc = ShadowAccumulator(n, 2)
     acc.add_batch(perms, signs, bits)
-    keyed = acc.estimates()
-    assert len(keyed) == comb(2 * n, 2) + comb(2 * n, 4)
     for j, means in acc.sector_means().items():
+        lam_inv = float(1 / ff.channel_eigenvalue(n, j))
+        keyed = dict.fromkeys(combinations(range(2 * n), 2 * j), 0.0)
+        for perm, sign, z in zip(perms, signs, bits):
+            for modes in combinations(range(n), j):
+                tau = [i for p in modes for i in (2 * p, 2 * p + 1)]
+                image = [int(perm[i]) for i in tau]
+                inversions = sum(a > b for a, b in combinations(image, 2))
+                value = (-1) ** inversions * np.prod(sign[tau])
+                value *= np.prod(1 - 2 * z[list(modes)].astype(int))
+                keyed[tuple(sorted(image))] += lam_inv * value
+        assert len(means) == len(keyed)
         for r, idx in enumerate(colex_sets(2 * n, 2 * j)):
-            assert means[r] == keyed[idx]
-
-
-def test_mitigate_array_and_dict_forms_agree(rng):
-    n, eta = 5, 2
-    spec = ff.symmetry_spec(n, eta)
-    sectors, keyed = random_sectors(n, rng)
-    arrays = ff.mitigate(sectors, spec)
-    by_set = ff.mitigate(keyed, spec)
-    for j in (1, 2):
-        for r, idx in enumerate(colex_sets(2 * n, 2 * j)):
-            assert arrays[j][r] == by_set[idx]
+            assert means[r] == pytest.approx(keyed[idx] / size, abs=1e-12)
 
 
 def test_mitigate_array_guards():
@@ -554,3 +547,35 @@ def test_mitigate_array_guards():
         ff.mitigate(zeros, spec)
     with pytest.raises(ValueError):
         ff.mitigate({**zeros, 3: np.zeros(0)}, spec)
+
+
+def test_frame_is_shared_read_only(rng):
+    n, k = 6, 3
+    perms, signs, bits = ff.sample_snapshots(ff.vacuum_covariance(n), 20, rng)
+
+    def accumulate():
+        acc = ShadowAccumulator(n, k)
+        acc.add_batch(perms, signs, bits)
+        return acc
+
+    _frame.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(accumulate) for _ in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    first = results[0]
+    for acc in results:
+        assert all(np.array_equal(acc.sums[j], first.sums[j]) for j in first.sums)
+        for (tau, qubits, lam_inv), (tau0, qubits0, lam0) in zip(acc.frame, first.frame):
+            assert np.array_equal(tau, tau0) and np.array_equal(qubits, qubits0)
+            assert lam_inv == lam0
+    tau, qubits, _ = _frame(n, k)[1]
+    assert tau[0].tolist() == [0, 1, 2, 3] and qubits[0].tolist() == [0, 1]
+    with pytest.raises(ValueError):
+        tau[0, 0] = 1
+    with pytest.raises(ValueError):
+        qubits[0, 0] = 1
