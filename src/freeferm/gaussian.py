@@ -88,7 +88,7 @@ class QuadraticHamiltonian:
 
     def __post_init__(self):
         a = np.array(self.a_matrix, dtype=float)
-        _check_antisymmetric(a, 1e-10, "coefficient matrix")
+        _check_antisymmetric(a, DEFAULT.coefficient_antisymmetry, "coefficient matrix")
         a.setflags(write=False)
         object.__setattr__(self, "a_matrix", a)
 
@@ -170,7 +170,7 @@ def canonical_form(h: QuadraticHamiltonian, tol: Tolerances = DEFAULT) -> Canoni
     dim = a.shape[0]
     t, z = schur(a, output="real")
     scale = max(1.0, np.max(np.abs(a)))
-    blk_tol = 1e-12 * scale
+    blk_tol = tol.block_cut * scale
 
     pairs = []   # (eps, col_a, col_b)
     singles = []
@@ -231,7 +231,7 @@ def pfaffian(a: np.ndarray, tol: Tolerances = DEFAULT) -> float:
     if dim == 0:
         return 1.0
     scale = 1.0 + np.max(np.abs(a))
-    if np.max(np.abs(a + a.T)) > max(tol.antisymmetry, 1e-10 * scale):
+    if np.max(np.abs(a + a.T)) > max(tol.antisymmetry, tol.pfaffian_antisymmetry * scale):
         raise ValueError("pfaffian input is not antisymmetric")
     pf = 1.0
     for k in range(0, dim - 2, 2):
@@ -340,64 +340,63 @@ def slater_covariance(s: SlaterDeterminant) -> CovarianceMatrix:
     return evolve(base, q)
 
 
-def _conditional_update(m: np.ndarray, mode: int, bit, prob,
-                        work: tuple[np.ndarray, np.ndarray]):
-    """Condition a covariance matrix, or a stack of them, in place on ``mode``.
-
-    ``bit`` is the outcome and ``prob`` its probability, one per matrix of a
-    stack; the update is the rank-two conditioning formula. ``work`` is a pair
-    of scratch arrays of the shape of ``m``; reusing them keeps every step
-    from allocating (and page-faulting) stacks of its own.
-    """
-    row_a = m[..., 2 * mode, :].copy()
-    row_b = m[..., 2 * mode + 1, :].copy()
-    outer, update = work
-    np.multiply(row_a[..., :, None], row_b[..., None, :], out=outer)
-    # a_i b_j - b_i a_j; the transpose of the outer product holds b_i a_j exactly
-    np.subtract(outer, np.swapaxes(outer, -1, -2), out=update)
-    update *= (np.where(bit, 1.0, -1.0) / (2.0 * prob))[..., None, None]
-    m += update
-
-
-def _occupation_probability(m: np.ndarray, mode: int, slack: float, prefix):
-    """P(mode occupied) for a matrix or a stack, clamped to [0, 1].
+def _occupation_probability(entry, slack: float, prefix):
+    """P(mode occupied) from the covariance entry M[2j, 2j+1], clamped to [0, 1].
 
     Conditioning divides by each outcome's probability, so rounding grows like
     1 / prefix, the probability of the outcomes conditioned on so far; ``slack``
     bounds how far the joint probability prefix * p1 may leave [0, prefix].
     """
-    p1 = 0.5 * (1.0 - m[..., 2 * mode, 2 * mode + 1])
+    p1 = 0.5 * (1.0 - entry)
     if np.any(prefix * p1 < -slack) or np.any(prefix * (p1 - 1.0) > slack):
         raise ValueError("conditional probability outside [0, 1] beyond slack")
     return np.clip(p1, 0.0, 1.0)
 
 
-def sample_bits(matrices: np.ndarray, rng: np.random.Generator,
-                tol: Tolerances = DEFAULT) -> np.ndarray:
-    """One computational-basis sample per covariance matrix, exactly by the Born rule.
+def sample_bits(matrix: np.ndarray, perms: np.ndarray, signs: np.ndarray,
+                rng: np.random.Generator, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """One computational-basis sample per rotated state, exactly by the Born rule.
 
-    ``matrices`` is a (size, 2n, 2n) stack; it is conditioned in place, so
-    pass a copy to keep it. Modes are measured in ascending order: each
-    conditional probability comes from the current matrix, which is then
-    updated by the rank-two conditioning formula (Terhal and DiVincenzo,
-    quant-ph/0108010). All uniform draws are taken first, as one (size, n)
-    block. Returns a (size, n) uint8 array.
+    Snapshot s measures Q M Q^T for the signed permutation Q[u, v] =
+    signs[s, u] delta(perms[s, u], v); ``matrix`` is the 2n x 2n M and
+    ``perms``, ``signs`` are (size, 2n). Modes are measured in ascending
+    order, each conditioned on the outcomes before it by the rank-two formula
+    of Terhal and DiVincenzo (quant-ph/0108010). The elimination is
+    left-looking: step j gathers rows 2j and 2j+1 of Q M Q^T, columns >= 2j,
+    and adds the j earlier updates c_l (a_l[r] b_l - b_l[r] a_l) with batched
+    matmuls. No rotated matrix is built; memory is two (size, n, 2n) buffers
+    holding c_l a_l and b_l. All uniform draws are taken first, as one
+    (size, n) block. Returns a (size, n) uint8 array.
     """
-    if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2] or matrices.shape[1] % 2:
-        raise ValueError("matrices must be a (size, 2n, 2n) stack")
-    size, n = matrices.shape[0], matrices.shape[1] // 2
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
+        raise ValueError("matrix must be a square even-dimensional covariance")
+    if perms.ndim != 2 or perms.shape[1] != matrix.shape[0] or signs.shape != perms.shape:
+        raise ValueError("perms and signs must be (size, 2n) arrays")
+    size, dim = perms.shape
+    n = dim // 2
+    flat, base, sf = matrix.ravel(), perms.astype(np.intp) * dim, signs.astype(float)
     bits = np.empty((size, n), dtype=np.uint8)
     draws = rng.random((size, n))
-    work = (np.empty_like(matrices), np.empty_like(matrices))
+    scaled_a = np.empty((size, n, dim))  # row l: c_l a_l, valid from column 2l
+    rows_b = np.empty((size, n, dim))    # row l: b_l, valid from column 2l
     prefix = np.ones(size)
     for j in range(n):
-        p1 = _occupation_probability(matrices, j, tol.prob_clamp, prefix)
+        r, c = slice(2 * j, 2 * j + 2), slice(2 * j, dim)
+        rows = np.take(flat, base[:, r, None] + perms[:, None, c])
+        rows *= sf[:, r, None]
+        rows *= sf[:, None, c]
+        if j:
+            rows += np.swapaxes(scaled_a[:, :j, r], 1, 2) @ rows_b[:, :j, c]
+            rows -= np.swapaxes(rows_b[:, :j, r], 1, 2) @ scaled_a[:, :j, c]
+        p1 = _occupation_probability(rows[:, 0, 1], tol.prob_clamp, prefix)
         bit = draws[:, j] < p1
         bits[:, j] = bit
         if j < n - 1:
             # draws lie in [0, 1), so the drawn outcome has probability > 0
             prob = np.where(bit, p1, 1.0 - p1)
-            _conditional_update(matrices, j, bit, prob, work)
+            np.multiply(rows[:, 0], (np.where(bit, 1.0, -1.0) / (2.0 * prob))[:, None],
+                        out=scaled_a[:, j, c])
+            rows_b[:, j, c] = rows[:, 1]
             prefix *= prob
     return bits
 
@@ -411,19 +410,18 @@ def measurement_distribution(g: CovarianceMatrix, tol: Tolerances = DEFAULT) -> 
     if n > 12:
         raise ValueError("refusing to enumerate more than 2^12 outcomes")
     out = np.zeros(2 ** n)
-    work = (np.empty((2 * n, 2 * n)), np.empty((2 * n, 2 * n)))
 
     def descend(m, mode, prefix_prob, index):
         if mode == n:
             out[index] = prefix_prob
             return
-        p1 = _occupation_probability(m, mode, tol.prob_clamp, prefix_prob)
+        p1 = _occupation_probability(m[2 * mode, 2 * mode + 1], tol.prob_clamp, prefix_prob)
+        a, b = m[2 * mode], m[2 * mode + 1]
         for bit, pb in ((0, 1.0 - p1), (1, p1)):
             if prefix_prob * pb <= tol.prob_clamp:
                 continue  # impossible within the slack, e.g. forbidden by parity
-            m2 = m.copy()
-            if mode < n - 1:
-                _conditional_update(m2, mode, bit, pb, work)
+            # right-looking rank-two conditioning of the whole matrix
+            m2 = m + (np.outer(a, b) - np.outer(b, a)) * ((1.0 if bit else -1.0) / (2.0 * pb))
             descend(m2, mode + 1, prefix_prob * pb, (index << 1) | bit)
 
     descend(np.array(g.matrix, dtype=float), 0, 1.0, 0)

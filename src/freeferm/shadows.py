@@ -140,7 +140,9 @@ def sample_snapshots(cov: CovarianceMatrix, size: int, rng: np.random.Generator,
 
     Each snapshot rotates the state by a uniform element of B(2n) (signed)
     or Alt(2n) (unsigned, even), samples every mode by covariance
-    conditioning and passes the bits through ``noise``. Random numbers are
+    conditioning and passes the bits through ``noise``. The rotated
+    covariance Q M Q^T is never built: ``sample_bits`` gathers the rows it
+    needs from ``cov.matrix`` through the permutations. Random numbers are
     drawn in that order, each step for the whole batch. Returns
     (perms, signs, bits) of shapes (size, 2n), (size, 2n) and (size, n),
     the input of ``ShadowAccumulator.add_batch``.
@@ -156,10 +158,7 @@ def sample_snapshots(cov: CovarianceMatrix, size: int, rng: np.random.Generator,
         odd = _sort_rows_with_parity(perms)[1] == 1
         perms[odd, 0], perms[odd, 1] = perms[odd, 1].copy(), perms[odd, 0].copy()
         signs = np.ones((size, m), dtype=np.int8)
-    # Q M Q^T for Q[u, v] = signs[u] delta(perms[u], v), one matrix per snapshot
-    sf = signs.astype(float)
-    rotated = cov.matrix[perms[:, :, None], perms[:, None, :]] * sf[:, :, None] * sf[:, None, :]
-    bits = sample_bits(rotated, rng)
+    bits = sample_bits(cov.matrix, perms, signs, rng)
     return perms, signs, noise.apply_batch(bits, rng)
 
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import ortho_group, unitary_group
 
+import freeferm as ff
 from freeferm import (
     CovarianceMatrix,
     MajoranaMonomial,
@@ -58,6 +59,34 @@ def random_mixed_covariance(n_modes, rng):
         m[2 * p + 1, 2 * p] = -val
     q = random_orthogonal(2 * n_modes, rng)
     return CovarianceMatrix(q @ m @ q.T)
+
+
+def sample_unrotated(matrix, shots, rng):
+    """``shots`` samples of one covariance matrix: identity permutations, unit signs."""
+    perms = np.tile(np.arange(matrix.shape[0]), (shots, 1))
+    return ff.sample_bits(matrix, perms, np.ones(perms.shape, dtype=np.int8), rng)
+
+
+def right_looking_bits(matrix, perms, signs, rng):
+    """The right-looking sampler: build every rotated matrix, update all of it per mode."""
+    slack, sf = ff.DEFAULT.prob_clamp, signs.astype(float)
+    stack = matrix[perms[:, :, None], perms[:, None, :]] * sf[:, :, None] * sf[:, None, :]
+    size, n = stack.shape[0], stack.shape[1] // 2
+    bits = np.empty((size, n), dtype=np.uint8)
+    draws = rng.random((size, n))
+    prefix = np.ones(size)
+    for j in range(n):
+        p1 = 0.5 * (1.0 - stack[:, 2 * j, 2 * j + 1])
+        if np.any(prefix * p1 < -slack) or np.any(prefix * (p1 - 1.0) > slack):
+            raise ValueError("conditional probability outside [0, 1] beyond slack")
+        p1 = np.clip(p1, 0.0, 1.0)
+        bits[:, j] = bit = draws[:, j] < p1
+        prob = np.where(bit, p1, 1.0 - p1)
+        outer = stack[:, 2 * j, :, None] * stack[:, 2 * j + 1, None, :]
+        coef = np.where(bit, 1.0, -1.0) / (2.0 * prob)
+        stack += (outer - np.swapaxes(outer, 1, 2)) * coef[:, None, None]
+        prefix *= prob
+    return bits
 
 
 def colex_sets(universe, size):

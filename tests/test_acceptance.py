@@ -31,6 +31,7 @@ from conftest import (
     random_pure_state,
     random_slater,
     random_symmetric_integrals,
+    sample_unrotated,
 )
 
 
@@ -215,7 +216,7 @@ def test_criterion_5_oracle_equivalence():
         cov, psi = random_pure_state(n, rng)
         born = dense.born_distribution(psi)
         # exact single-mode conditioning, sampled in one vectorized batch
-        bits = ff.sample_bits(np.repeat(cov.matrix[None], shots, axis=0), rng)
+        bits = sample_unrotated(cov.matrix, shots, rng)
         idx = (bits * (2 ** np.arange(n - 1, -1, -1))[None, :]).sum(axis=1)
         emp = np.bincount(idx, minlength=2 ** n) / shots
         tv_worst = max(tv_worst, 0.5 * float(np.sum(np.abs(emp - born))))

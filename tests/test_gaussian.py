@@ -21,6 +21,8 @@ from conftest import (
     random_pure_state,
     random_slater,
     random_unitary,
+    right_looking_bits,
+    sample_unrotated,
 )
 
 
@@ -187,6 +189,21 @@ def test_pfaffian_congruence(rng):
 def test_pfaffian_rejects_symmetric():
     with pytest.raises(ValueError):
         ff.pfaffian(np.eye(4))
+
+
+def test_custom_tolerances_reach_canonical_form_and_pfaffian():
+    # a 1e-11 block splits into two zero-energy singles once the block cut exceeds it
+    a = np.zeros((4, 4))
+    a[0, 1], a[1, 0] = 1.0, -1.0
+    a[2, 3], a[3, 2] = 1e-11, -1e-11
+    h = ff.QuadraticHamiltonian(a)
+    assert ff.canonical_form(h).eps[1] == 1e-11
+    assert ff.canonical_form(h, ff.Tolerances(block_cut=1e-10)).eps[1] == 0.0
+    # an antisymmetry defect of 1e-9 passes only with a wider relative slack
+    b = np.array([[0.0, 1.0], [-1.0 + 1e-9, 0.0]])
+    with pytest.raises(ValueError, match="antisymmetric"):
+        ff.pfaffian(b)
+    assert ff.pfaffian(b, ff.Tolerances(pfaffian_antisymmetry=1e-8)) == 1.0
 
 
 # --------------------------------------------------------------------- wick
@@ -358,20 +375,60 @@ def test_slater_covariance_matches_wick(rng):
 # ----------------------------------------------------------------- sampling
 
 def test_sampling_deterministic_states(rng):
-    vac = np.repeat(ff.vacuum_covariance(3).matrix[None], 5, axis=0)
-    assert (ff.sample_bits(vac, rng) == [0, 0, 0]).all()
+    assert (sample_unrotated(ff.vacuum_covariance(3).matrix, 5, rng) == [0, 0, 0]).all()
     cov = slater_covariance(ff.SlaterDeterminant(np.eye(4)[:, :2]))
-    bits = ff.sample_bits(np.repeat(cov.matrix[None], 5, axis=0), rng)
+    bits = sample_unrotated(cov.matrix, 5, rng)
     assert bits.dtype == np.uint8 and (bits == [1, 1, 0, 0]).all()
 
 
 def test_sampling_rejects_nonphysical_probabilities(rng):
     # twice the vacuum puts the first occupation probability at -1/2
-    stack = 2.0 * np.repeat(ff.vacuum_covariance(2).matrix[None], 3, axis=0)
     with pytest.raises(ValueError, match="outside"):
-        ff.sample_bits(stack, rng)
-    with pytest.raises(ValueError, match="stack"):
-        ff.sample_bits(ff.vacuum_covariance(2).matrix.copy(), rng)
+        sample_unrotated(2.0 * ff.vacuum_covariance(2).matrix, 3, rng)
+    # one covariance per call: a (size, 2n, 2n) stack is refused, as are mismatched frames
+    vac = ff.vacuum_covariance(2).matrix
+    perms, signs = np.tile(np.arange(4), (3, 1)), np.ones((3, 4), np.int8)
+    with pytest.raises(ValueError, match="square even-dimensional"):
+        ff.sample_bits(np.repeat(vac[None], 3, axis=0), perms, signs, rng)
+    with pytest.raises(ValueError, match="perms and signs"):
+        ff.sample_bits(vac, perms, signs[:, :2], rng)
+
+
+def _b_and_alt_draws(cov, size, seed):
+    """Per group: the bits of ``sample_snapshots`` and the right-looking bits of its draws."""
+    for group in ("b", "alt"):
+        perms, signs, bits = ff.sample_snapshots(cov, size, np.random.default_rng(seed), group)
+        replay = np.random.default_rng(seed)
+        replay.random(perms.shape)  # perms, then (B(2n) only) signs, then the sampler's block
+        if group == "b":
+            replay.random(perms.shape)
+        yield group, bits, right_looking_bits(cov.matrix, perms, signs, replay)
+
+
+def test_left_looking_bits_match_right_looking(rng):
+    for n in range(1, 9):
+        pure = slater_covariance(random_slater(n, n // 2, rng))
+        for cov in (random_mixed_covariance(n, rng), pure):
+            for group, bits, ref in _b_and_alt_draws(cov, 500, 10 * n):
+                assert (bits == ref).all(), (n, group)
+    cov = slater_covariance(random_slater(16, 4, rng))
+    for group, bits, ref in _b_and_alt_draws(cov, 1000, 16):
+        assert (bits == ref).all(), group
+
+
+def test_sampling_raises_through_permutation(rng):
+    # a nonphysical entry M[2, 4] = 3 off the mode pairs: the identity rotation never
+    # reads it, and a permutation that pairs axes 2 and 4 at mode 1 must raise
+    m = ff.vacuum_covariance(3).matrix.copy()
+    m[2, 4], m[4, 2] = 3.0, -3.0
+    identity = np.arange(6)[None]
+    ones = np.ones((1, 6), np.int8)
+    assert (ff.sample_bits(m, identity, ones, rng) == 0).all()
+    perms = np.array([[0, 1, 2, 4, 3, 5]])
+    for signs in (ones, np.array([[1, 1, 1, -1, 1, 1]], np.int8)):  # p1 = -1, then p1 = 2
+        for sampler in (ff.sample_bits, right_looking_bits):
+            with pytest.raises(ValueError, match="outside"):
+                sampler(m, perms, signs, rng)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -394,7 +451,7 @@ def test_conditioning_slack_scales_with_prefix_probability():
         psi = dense.apply(dense.gaussian_unitary(4, a), dense.vacuum_state(4))
         dist = measurement_distribution(cov)
         assert np.max(np.abs(dist - dense.born_distribution(psi))) < 1e-9
-        ff.sample_bits(np.repeat(cov.matrix[None], 2000, axis=0), rng)
+        sample_unrotated(cov.matrix, 2000, rng)
 
 
 def test_sampled_distribution_tv(rng):
@@ -402,7 +459,7 @@ def test_sampled_distribution_tv(rng):
     cov, psi = random_pure_state(n, rng)
     born = dense.born_distribution(psi)
     shots = 100_000
-    bits = ff.sample_bits(np.repeat(cov.matrix[None], shots, axis=0), rng)
+    bits = sample_unrotated(cov.matrix, shots, rng)
     idx = (bits * (2 ** np.arange(n - 1, -1, -1))[None, :]).sum(axis=1)
     tv = 0.5 * np.sum(np.abs(np.bincount(idx, minlength=2 ** n) / shots - born))
     assert tv < 0.01

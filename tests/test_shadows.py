@@ -24,7 +24,13 @@ from freeferm.shadows import (
 )
 from freeferm.tolerances import DEFAULT
 
-from conftest import colex_sets, random_mixed_covariance, random_pure_state, random_slater
+from conftest import (
+    colex_sets,
+    random_mixed_covariance,
+    random_pure_state,
+    random_slater,
+    sample_unrotated,
+)
 
 
 def spanning_states_n2(rng):
@@ -163,7 +169,7 @@ def test_acquire_distribution_matches_dense(rng):
     assert np.max(np.abs(exact - dense.born_distribution(psi))) < 1e-10
     # and the sampled path follows it
     shots = 20_000
-    bits = ff.sample_bits(np.repeat(rotated.matrix[None], shots, axis=0), rng)
+    bits = sample_unrotated(rotated.matrix, shots, rng)
     idx = (bits * (2 ** np.arange(n - 1, -1, -1))[None, :]).sum(axis=1)
     tv = 0.5 * np.sum(np.abs(np.bincount(idx, minlength=2 ** n) / shots - exact))
     assert tv < 0.02
