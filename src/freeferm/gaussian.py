@@ -88,7 +88,7 @@ class QuadraticHamiltonian:
 
     def __post_init__(self):
         a = np.array(self.a_matrix, dtype=float)
-        _check_antisymmetric(a, DEFAULT.coefficient_antisymmetry, "coefficient matrix")
+        _check_antisymmetric(a, 1e-10, "coefficient matrix")
         a.setflags(write=False)
         object.__setattr__(self, "a_matrix", a)
 
@@ -170,7 +170,7 @@ def canonical_form(h: QuadraticHamiltonian, tol: Tolerances = DEFAULT) -> Canoni
     dim = a.shape[0]
     t, z = schur(a, output="real")
     scale = max(1.0, np.max(np.abs(a)))
-    blk_tol = tol.block_cut * scale
+    blk_tol = 1e-12 * scale
 
     pairs = []   # (eps, col_a, col_b)
     singles = []
@@ -231,7 +231,7 @@ def pfaffian(a: np.ndarray, tol: Tolerances = DEFAULT) -> float:
     if dim == 0:
         return 1.0
     scale = 1.0 + np.max(np.abs(a))
-    if np.max(np.abs(a + a.T)) > max(tol.antisymmetry, tol.pfaffian_antisymmetry * scale):
+    if np.max(np.abs(a + a.T)) > max(tol.antisymmetry, 1e-10 * scale):
         raise ValueError("pfaffian input is not antisymmetric")
     pf = 1.0
     for k in range(0, dim - 2, 2):
@@ -372,6 +372,8 @@ def sample_bits(matrix: np.ndarray, perms: np.ndarray, signs: np.ndarray,
         raise ValueError("matrix must be a square even-dimensional covariance")
     if perms.ndim != 2 or perms.shape[1] != matrix.shape[0] or signs.shape != perms.shape:
         raise ValueError("perms and signs must be (size, 2n) arrays")
+    if perms.size and (perms.min() < 0 or perms.max() >= matrix.shape[0]):
+        raise ValueError("perms entries must lie in [0, 2n)")
     size, dim = perms.shape
     n = dim // 2
     flat, base, sf = matrix.ravel(), perms.astype(np.intp) * dim, signs.astype(float)

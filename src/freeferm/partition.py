@@ -310,8 +310,7 @@ def partition_from_template(poly: MajoranaPolynomial,
     return _finalize_sets(poly, groups)
 
 
-def rotation_plan(members: list[tuple[int, ...]], betas,
-                  tol: Tolerances = DEFAULT) -> RotationPlan:
+def rotation_plan(members: list[tuple[int, ...]], betas) -> RotationPlan:
     """Angles collapsing an l2-normalized anticommuting sum onto its last member.
 
     Step k solves beta_k cos(theta) = c_k sin(theta) where c_k is the running
@@ -327,7 +326,7 @@ def rotation_plan(members: list[tuple[int, ...]], betas,
         raise ValueError("all coefficients vanish")
     members = [members[i] for i in keep]
     betas = betas[keep]
-    if abs(np.sum(betas ** 2) - 1.0) > tol.normalization:
+    if abs(np.sum(betas ** 2) - 1.0) > 1e-12:
         raise ValueError("coefficients must be l2-normalized")
     target = members[-1]
     if len(members) == 1:
@@ -341,8 +340,7 @@ def rotation_plan(members: list[tuple[int, ...]], betas,
     return RotationPlan(target=target, steps=steps)
 
 
-def norms_report(poly: MajoranaPolynomial, partition: AnticommutingPartition,
-                 tol: Tolerances = DEFAULT) -> dict:
+def norms_report(poly: MajoranaPolynomial, partition: AnticommutingPartition) -> dict:
     """l1-norm bookkeeping before and after partitioning.
 
     Lambda is the term-weight l1 norm, Lambda_c the l1 norm of the set norms;
@@ -354,6 +352,6 @@ def norms_report(poly: MajoranaPolynomial, partition: AnticommutingPartition,
     lam = float(poly.l1_norm)
     lam_c = float(sum(s.gamma for s in partition.sets))
     s_max = int(max(len(s.members) for s in partition.sets))
-    slack = tol.norm_bound * (1.0 + lam)
+    slack = 1e-9 * (1.0 + lam)
     bounds_ok = lam / sqrt(s_max) <= lam_c + slack and lam_c <= lam + slack
     return {"Lambda": lam, "Lambda_c": lam_c, "s_max": s_max, "bounds_ok": bool(bounds_ok)}

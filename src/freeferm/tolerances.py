@@ -22,11 +22,6 @@ class Tolerances:
     coeff_prune: float = 1e-12       # Hamiltonian coefficients below this are dropped
     mitigation_guard: float = 1e-6   # smallest |s_hat / s| accepted as a divisor
     symmetry_check: float = 1e-10    # integral permutational-symmetry validation
-    coefficient_antisymmetry: float = 1e-10  # max-norm of A + A^T for a QuadraticHamiltonian
-    block_cut: float = 1e-12         # Schur subdiagonal, relative to max|A|, that splits a block
-    pfaffian_antisymmetry: float = 1e-10  # max-norm of A + A^T, relative to 1 + max|A|
-    normalization: float = 1e-12     # |sum beta^2 - 1| accepted by rotation_plan
-    norm_bound: float = 1e-9         # slack, relative to 1 + Lambda, on the norms_report bounds
 
 
 DEFAULT = Tolerances()

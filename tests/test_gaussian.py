@@ -191,21 +191,6 @@ def test_pfaffian_rejects_symmetric():
         ff.pfaffian(np.eye(4))
 
 
-def test_custom_tolerances_reach_canonical_form_and_pfaffian():
-    # a 1e-11 block splits into two zero-energy singles once the block cut exceeds it
-    a = np.zeros((4, 4))
-    a[0, 1], a[1, 0] = 1.0, -1.0
-    a[2, 3], a[3, 2] = 1e-11, -1e-11
-    h = ff.QuadraticHamiltonian(a)
-    assert ff.canonical_form(h).eps[1] == 1e-11
-    assert ff.canonical_form(h, ff.Tolerances(block_cut=1e-10)).eps[1] == 0.0
-    # an antisymmetry defect of 1e-9 passes only with a wider relative slack
-    b = np.array([[0.0, 1.0], [-1.0 + 1e-9, 0.0]])
-    with pytest.raises(ValueError, match="antisymmetric"):
-        ff.pfaffian(b)
-    assert ff.pfaffian(b, ff.Tolerances(pfaffian_antisymmetry=1e-8)) == 1.0
-
-
 # --------------------------------------------------------------------- wick
 
 def test_wick_vacuum_values():
@@ -392,6 +377,12 @@ def test_sampling_rejects_nonphysical_probabilities(rng):
         ff.sample_bits(np.repeat(vac[None], 3, axis=0), perms, signs, rng)
     with pytest.raises(ValueError, match="perms and signs"):
         ff.sample_bits(vac, perms, signs[:, :2], rng)
+    # the gather reads a flat index, so an entry outside [0, 2n) must raise, not wrap
+    for bad in (4, -1):
+        wrong = perms.copy()
+        wrong[1, 2] = bad
+        with pytest.raises(ValueError, match=r"\[0, 2n\)"):
+            ff.sample_bits(vac, wrong, signs, rng)
 
 
 def _b_and_alt_draws(cov, size, seed):
