@@ -102,9 +102,13 @@ def integrals_to_json(ints: ElectronicIntegrals) -> dict:
     return {"n": ints.n, "h1": ints.h1.tolist(), "h2": h2}
 
 
-def integrals_from_json(obj: dict) -> ElectronicIntegrals:
+def _integrals_args(obj: dict) -> tuple[int, np.ndarray, dict]:
     h2 = {tuple(item["pqrs"]): float(item["value"]) for item in obj["h2"]}
-    return ElectronicIntegrals(int(obj["n"]), np.array(obj["h1"], dtype=float), h2)
+    return int(obj["n"]), np.array(obj["h1"], dtype=float), h2
+
+
+def integrals_from_json(obj: dict) -> ElectronicIntegrals:
+    return ElectronicIntegrals(*_integrals_args(obj))
 
 
 def write_integrals(path, ints: ElectronicIntegrals) -> None:
@@ -115,7 +119,9 @@ def write_integrals(path, ints: ElectronicIntegrals) -> None:
 
 def read_integrals(path) -> ElectronicIntegrals:
     with open(path) as fh:
-        return integrals_from_json(json.load(fh))
+        args = _integrals_args(json.load(fh))
+    # the parsed file, one dict per h2 entry, is freed before the integrals are checked
+    return ElectronicIntegrals(*args)
 
 
 def estimates_from_json(obj: dict) -> tuple[dict[int, np.ndarray], int, int]:

@@ -19,12 +19,12 @@ construction is provided here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import atan2, hypot, sqrt
 
 import numpy as np
 
-from .majorana import MajoranaMonomial, _sort_with_parity, anticommutes
+from .majorana import _sort_with_parity
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -65,28 +65,31 @@ class ElectronicIntegrals:
         if isinstance(h2, np.ndarray):
             if h2.shape != (n, n, n, n):
                 raise ValueError("two-body tensor must be n^4")
-            items = {
-                idx: float(h2[idx])
-                for idx in np.ndindex(h2.shape)
-                if h2[idx] != 0.0
-            }
+            h2 = np.asarray(h2, dtype=float)
+            at = np.nonzero(h2)
+            self.h2 = dict(zip(zip(*(i.tolist() for i in at)), h2[at].tolist()))
         else:
-            items = {tuple(int(i) for i in k): float(v) for k, v in dict(h2).items()}
-        for idx in items:
-            if len(idx) != 4 or any(not 0 <= i < n for i in idx):
-                raise ValueError(f"bad two-body index {idx}")
-        self.h2 = items
-        self._check_h2_symmetry(tol)
+            self.h2 = {tuple(map(int, k)): float(v) for k, v in dict(h2).items()}
+            bad = next((k for k in self.h2 if len(k) != 4 or not 0 <= min(k) <= max(k) < n), None)
+            if bad is not None:
+                raise ValueError(f"bad two-body index {bad}")
+            at = tuple(np.array(list(self.h2), dtype=np.int64).reshape(-1, 4).T)
+        self._check_h2_symmetry(at, tol)
 
-    def _check_h2_symmetry(self, tol: Tolerances):
-        for idx, val in self.h2.items():
-            for perm in _EIGHTFOLD:
-                image = tuple(idx[i] for i in perm)
-                other = self.h2.get(image, 0.0)
-                if abs(other - val) > tol.symmetry_check:
-                    raise ValueError(
-                        f"two-body integrals violate permutational symmetry at {idx}"
-                    )
+    def _check_h2_symmetry(self, at, tol: Tolerances):
+        """Compare a dense scatter of h2, at index arrays ``at``, with its eight transposes.
+
+        An error names the first failing entry in dict order: the permutations
+        form a group, so every failing pair holds at least one stored entry.
+        """
+        dense = np.zeros((self.n,) * 4)
+        dense[at] = list(self.h2.values())
+        bad = np.zeros(dense.shape, dtype=bool)
+        for perm in _EIGHTFOLD:
+            bad |= np.abs(np.transpose(dense, perm) - dense) > tol.symmetry_check
+        if bad.any():
+            idx = list(self.h2)[int(np.argmax(bad[at]))]
+            raise ValueError(f"two-body integrals violate permutational symmetry at {idx}")
 
     def h2_value(self, p, q, r, s) -> float:
         return self.h2.get((p, q, r, s), 0.0)
@@ -194,12 +197,45 @@ def majorana_form(ints: ElectronicIntegrals, tol: Tolerances = DEFAULT) -> Major
     return poly.pruned(tol.coeff_prune)
 
 
-def _all_anticommute(candidate: tuple[int, ...], members, n_modes: int) -> bool:
-    mono = MajoranaMonomial.canonical(n_modes, candidate)
-    for other in members:
-        if not anticommutes(mono, MajoranaMonomial.canonical(n_modes, other)):
-            return False
-    return True
+def _first_fit(candidates: list[tuple], groups: list[list[tuple]],
+               n_modes: int) -> list[list[tuple]]:
+    """Put each candidate, in order, into the first group it wholly anticommutes with.
+
+    ``groups`` is extended in place, with a new group for a candidate that
+    fits none. Index sets A and B anticommute iff |A| |B| + |A & B| is odd.
+    Every term is a bitmask column with a degree and a group label, so one
+    candidate is tested against all placed terms at once.
+    """
+    placed = [idx for members in groups for idx in members]
+    terms = placed + candidates
+    degrees = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
+    flat = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=int(degrees.sum()))
+    if np.any((flat < 0) | (flat >= 2 * n_modes)):
+        raise ValueError("indices out of range for n_modes")
+    # index u sets bit u % 64 of word u // 64 in its term's column
+    masks = np.zeros((-(-2 * n_modes // 64), len(terms)), dtype=np.uint64)
+    np.bitwise_or.at(masks, (flat // 64, np.repeat(np.arange(len(terms)), degrees)),
+                     np.uint64(1) << (flat % 64).astype(np.uint64))
+    if np.any(np.bitwise_count(masks).sum(axis=0) != degrees):
+        raise ValueError("index sets must not repeat an index")
+    odd = (degrees & 1).astype(np.uint8)
+    label = np.zeros(len(terms), dtype=np.int64)
+    label[:len(placed)] = np.repeat(np.arange(len(groups)), list(map(len, groups)))
+    for k, idx in enumerate(candidates, start=len(placed)):
+        # |A & B| is odd iff the XOR of the words' ANDs has odd popcount
+        shared = masks[0, :k] & masks[0, k]
+        for word in masks[1:]:
+            shared ^= word[:k] & word[k]
+        anti = np.bitwise_count(shared) & 1
+        if odd[k]:
+            anti ^= odd[:k]
+        ruled_out = np.zeros(len(groups) + 1, dtype=bool)
+        ruled_out[label[:k][anti == 0]] = True
+        label[k] = g = int(np.argmin(ruled_out))
+        if g == len(groups):
+            groups.append([])
+        groups[g].append(idx)
+    return groups
 
 
 def _finalize_sets(poly: MajoranaPolynomial, groups: list[list[tuple]]) -> AnticommutingPartition:
@@ -223,15 +259,7 @@ def greedy_partition(poly: MajoranaPolynomial) -> AnticommutingPartition:
     if not poly.terms:
         raise ValueError("polynomial has no non-constant terms")
     order = sorted(poly.terms, key=lambda idx: (-abs(poly.terms[idx]), idx))
-    groups: list[list[tuple]] = []
-    for idx in order:
-        for members in groups:
-            if _all_anticommute(idx, members, poly.n_modes):
-                members.append(idx)
-                break
-        else:
-            groups.append([idx])
-    return _finalize_sets(poly, groups)
+    return _finalize_sets(poly, _first_fit(order, [], poly.n_modes))
 
 
 def analytic_partition(n: int) -> list[list[tuple[int, ...]]]:
@@ -274,15 +302,7 @@ def analytic_partition(n: int) -> list[list[tuple[int, ...]]]:
         else:
             leftovers.extend(quads)
 
-    template = merged + list(keyed.values())
-    for term in leftovers:
-        for members in template:
-            if _all_anticommute(term, members, n):
-                members.append(term)
-                break
-        else:
-            template.append([term])
-    return template
+    return _first_fit(leftovers, merged + list(keyed.values()), n)
 
 
 def partition_from_template(poly: MajoranaPolynomial,
@@ -300,14 +320,7 @@ def partition_from_template(poly: MajoranaPolynomial,
         seen.update(present)
         if present:
             groups.append(present)
-    for idx in sorted(support - seen):
-        for members in groups:
-            if _all_anticommute(idx, members, poly.n_modes):
-                members.append(idx)
-                break
-        else:
-            groups.append([idx])
-    return _finalize_sets(poly, groups)
+    return _finalize_sets(poly, _first_fit(sorted(support - seen), groups, poly.n_modes))
 
 
 def rotation_plan(members: list[tuple[int, ...]], betas) -> RotationPlan:

@@ -101,6 +101,23 @@ def random_monomial(n_modes, rng, max_degree=4, even_only=False):
     return MajoranaMonomial.canonical(n_modes, tuple(int(i) for i in idx))
 
 
+def reference_first_fit(candidates, groups, n_modes):
+    """First-fit by one ``anticommutes`` call per pair: what ``_first_fit`` must match.
+
+    Extends ``groups`` in place and returns it, as the partitioners' helper does.
+    """
+    for idx in candidates:
+        mono = MajoranaMonomial.canonical(n_modes, idx)
+        for members in groups:
+            if all(ff.anticommutes(mono, MajoranaMonomial.canonical(n_modes, other))
+                   for other in members):
+                members.append(idx)
+                break
+        else:
+            groups.append([idx])
+    return groups
+
+
 def random_symmetric_integrals(n, rng):
     """Random one- and two-body integrals with the full eightfold symmetry."""
     h1 = rng.normal(size=(n, n))

@@ -186,6 +186,24 @@ def test_partition_greedy_report(runner, tmp_path, rng):
         assert abs(sum(b * b for b in entry["betas"]) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("pqrs, message", [
+    ([-1, 0, 0, 0], "bad two-body index (-1, 0, 0, 0)"),
+    ([0, 2, 0, 0], "bad two-body index (0, 2, 0, 0)"),
+    ([0, 0, 0], "bad two-body index (0, 0, 0)"),
+    ([0, 0, 0, 1], "two-body integrals violate permutational symmetry at (0, 0, 0, 1)"),
+])
+def test_partition_rejects_bad_two_body_entry(runner, tmp_path, pqrs, message):
+    src = tmp_path / "ints.json"
+    h2 = [{"pqrs": [0, 0, 0, 0], "value": 0.5}, {"pqrs": pqrs, "value": 1.0}]
+    src.write_text(json.dumps({"n": 2, "h1": [[1.0, 0.0], [0.0, 1.0]], "h2": h2}))
+    res = runner.invoke(main, [
+        "partition", "--input", str(src), "--report", str(tmp_path / "report.json"),
+    ])
+    assert res.exit_code != 0
+    assert res.output.strip().splitlines() == [f"error:invalid-input: {message}"]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_verify_passes(runner):
     res = runner.invoke(main, ["verify", "--modes", "3", "--seed", "3"])
     assert res.exit_code == 0, res.output

@@ -1,4 +1,5 @@
 """Majorana form, anticommuting partitioning, and rotation plans."""
+import re
 from itertools import combinations
 from math import atan2, comb
 
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freeferm as ff
-from freeferm import dense
+from freeferm import dense, partition
 from freeferm.partition import PartitionSet
 
-from conftest import random_symmetric_integrals
+from conftest import random_symmetric_integrals, reference_first_fit
 
 
 def dense_hamiltonian(ints):
@@ -53,6 +54,44 @@ def test_integrals_validation(rng):
     h1 = np.zeros((2, 2))
     with pytest.raises(ValueError):
         ff.ElectronicIntegrals(2, h1, {(0, 0, 0, 1): 1.0})
+
+
+@pytest.mark.parametrize("bad", [(-1, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0), (0, 0, 0, 0, 0)])
+def test_integrals_reject_bad_index_before_symmetry(bad):
+    # checked first: a scatter would wrap -1 and raise IndexError at n
+    h2 = {(0, 0, 0, 0): 1.0, (0, 1, 0, 1): 0.5, bad: 1.0, (1, 0, 0, 0): 2.0}
+    with pytest.raises(ValueError, match=re.escape(f"bad two-body index {bad}")):
+        ff.ElectronicIntegrals(2, np.zeros((2, 2)), h2)
+
+
+def test_symmetry_error_names_first_entry_in_dict_order():
+    h1 = np.zeros((2, 2))
+    for first, second in [((0, 0, 0, 1), (1, 1, 1, 0)), ((1, 1, 1, 0), (0, 0, 0, 1))]:
+        h2 = {(0, 0, 0, 0): 1.0, first: 1.0, second: 1.0}
+        with pytest.raises(ValueError, match=re.escape(f"symmetry at {first}")):
+            ff.ElectronicIntegrals(2, h1, h2)
+    # a zero image of a stored entry is a violation as well
+    h2 = np.zeros((2, 2, 2, 2))
+    h2[1, 0, 0, 0] = h2[0, 0, 0, 1] = h2[0, 1, 0, 0] = 1.0
+    with pytest.raises(ValueError, match=re.escape("symmetry at (0, 0, 0, 1)")):
+        ff.ElectronicIntegrals(2, h1, h2)
+    h2[0, 0, 1, 0] = 1.0
+    assert list(ff.ElectronicIntegrals(2, h1, h2).h2) == [
+        (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
+
+
+def test_tensor_and_dict_forms_agree(rng):
+    n = 3
+    h1, h2 = random_symmetric_integrals(n, rng)
+    # p + q + r + s is the same on every image of an entry, so this keeps the symmetry
+    h2[np.indices(h2.shape).sum(axis=0) % 3 == 0] = 0.0
+    from_tensor = ff.ElectronicIntegrals(n, h1, h2)
+    nonzero = [idx for idx in np.ndindex(h2.shape) if h2[idx] != 0.0]
+    assert list(from_tensor.h2) == nonzero
+    assert all(type(i) is int for idx in from_tensor.h2 for i in idx)
+    assert from_tensor.h2 == {idx: float(h2[idx]) for idx in nonzero}
+    from_dict = ff.ElectronicIntegrals(n, h1, from_tensor.h2)
+    assert list(from_dict.h2.items()) == list(from_tensor.h2.items())
 
 
 def test_majorana_form_zero():
@@ -182,6 +221,70 @@ def test_partition_from_template(rng):
             assert ff.anticommutes(
                 ff.MajoranaMonomial.canonical(n, a), ff.MajoranaMonomial.canonical(n, b)
             )
+
+
+# -------------------------------------- bitmask first-fit against the pairs
+
+def set_lists(part):
+    return [s.members for s in part.sets]
+
+
+@pytest.fixture
+def pairwise(monkeypatch):
+    """Call a partitioner with the pairwise reference in place of ``_first_fit``."""
+    def call(fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(partition, "_first_fit", reference_first_fit)
+            return fn(*args)
+    return call
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_greedy_matches_pairwise_first_fit(n, rng, pairwise):
+    poly = ff.majorana_form(integrals(n, rng))
+    part = ff.greedy_partition(poly)
+    assert set_lists(part) == set_lists(pairwise(ff.greedy_partition, poly))
+    assert len(part.sets) < len(poly.terms)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_analytic_template_matches_pairwise_first_fit(n, pairwise):
+    assert ff.analytic_partition(n) == pairwise(ff.analytic_partition, n)
+
+
+def test_template_leftovers_match_pairwise_first_fit(rng, pairwise):
+    n = 4
+    template = ff.analytic_partition(n)
+    sets = [idx for deg in (2, 4, 6) for idx in combinations(range(2 * n), deg)]
+    chosen = rng.choice(len(sets), size=80, replace=False)
+    poly = ff.MajoranaPolynomial(n, {sets[i]: float(rng.normal()) for i in chosen})
+    outside = set(poly.terms) - {idx for members in template for idx in members}
+    assert len(outside) >= 20
+    part = ff.partition_from_template(poly, template)
+    assert part.covers
+    assert set_lists(part) == set_lists(pairwise(ff.partition_from_template, poly, template))
+
+
+def test_greedy_two_word_masks_match_pairwise_first_fit(rng, pairwise):
+    n = 40
+    # the two sets share only index 70, in the second mask word
+    poly = ff.MajoranaPolynomial(n, {(0, 70): 1.0, (1, 70): 0.5, (2, 71): 0.25})
+    assert set_lists(ff.greedy_partition(poly)) == [[(0, 70), (1, 70)], [(2, 71)]]
+    # odd degrees too, so that |A| |B| takes both parities
+    terms = {}
+    for deg in rng.integers(1, 7, size=300):
+        idx = tuple(sorted(int(i) for i in rng.choice(2 * n, size=deg, replace=False)))
+        terms[idx] = float(rng.normal())
+    poly = ff.MajoranaPolynomial(n, terms)
+    part = ff.greedy_partition(poly)
+    assert set_lists(part) == set_lists(pairwise(ff.greedy_partition, poly))
+    assert max(len(s.members) for s in part.sets) > 2
+
+
+@pytest.mark.parametrize("idx", [(0, 4), (-1, 0), (1, 1)])
+def test_first_fit_rejects_bad_index_sets(idx):
+    with pytest.raises(ValueError):
+        ff.greedy_partition(ff.MajoranaPolynomial(2, {(0, 1): 1.0, idx: 0.5}))
 
 
 # ----------------------------------------------------------- rotation plans
