@@ -19,6 +19,14 @@ Gate conventions (Heisenberg action U^dag g_u U = sum_v O_uv g_v):
 
 ``program_to_orthogonal`` composes these actions to recover Q without any
 dense simulation, which is the compiler's verifier.
+
+Both hot loops run one layer of disjoint rotations at a time. The naive
+elimination zeroes entry (i, j) of Q^T at wavefront step t = dim-1-i+2j, so
+about 2*dim steps replace dim^2/2 single rotations. The recomposition
+applies each depth layer of ``GateProgram.stats()`` as one gathered two-row
+update, with the Pauli layer as a barrier. Every row sees the same
+floating-point operations in the same order as in the sequential loops, so
+programs and recomposed matrices are bit-identical to theirs.
 """
 from __future__ import annotations
 
@@ -29,7 +37,7 @@ from typing import Union
 import numpy as np
 
 from . import dense as _dense
-from .majorana import multiply_pauli_letters, to_pauli, MajoranaMonomial
+from .majorana import multiply_pauli_letters
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -86,6 +94,28 @@ def _gate_support(gate: Gate) -> tuple[int, ...]:
     return tuple(i for i, c in enumerate(gate.letters) if c != "I")
 
 
+def _layers(gates, n_qubits: int) -> list[list[Gate]]:
+    """Gates grouped by depth layer, in time order within each layer.
+
+    A gate joins the layer after the last one holding a gate on any of its
+    qubits, so the gates of one layer act on disjoint qubits and hence on
+    disjoint axis pairs. Gates with empty support join no layer.
+    """
+    frontier = [0] * n_qubits
+    layers: list[list[Gate]] = []
+    for g in gates:
+        support = _gate_support(g)
+        if not support:
+            continue
+        layer = max(frontier[q] for q in support)
+        if layer == len(layers):
+            layers.append([])
+        layers[layer].append(g)
+        for q in support:
+            frontier[q] = layer + 1
+    return layers
+
+
 @dataclass(frozen=True)
 class GateProgram:
     """Time-ordered gate list; the first gate acts on the state first."""
@@ -108,16 +138,7 @@ class GateProgram:
     def stats(self) -> ProgramStats:
         ones = sum(isinstance(g, ZRot) for g in self.gates)
         twos = sum(isinstance(g, XXRot) for g in self.gates)
-        frontier = [0] * self.n_qubits
-        depth = 0
-        for g in self.gates:
-            support = _gate_support(g)
-            if not support:
-                continue
-            layer = 1 + max(frontier[q] for q in support)
-            for q in support:
-                frontier[q] = layer
-            depth = max(depth, layer)
+        depth = len(_layers(self.gates, self.n_qubits))
         return ProgramStats(ones, twos, depth)
 
 
@@ -162,17 +183,18 @@ def _layer_letters(signs) -> str:
 
 
 def _layer_action(letters: str) -> np.ndarray:
-    """Diagonal orthogonal action of a Pauli layer on the Majorana axes."""
-    n = len(letters)
-    signs = np.ones(2 * n)
-    for u in range(2 * n):
-        p = to_pauli(MajoranaMonomial.canonical(n, (u,)))
-        clashes = sum(
-            1 for x, y in zip(letters, p.letters) if x != "I" and y != "I" and x != y
-        )
-        if clashes % 2:
-            signs[u] = -1.0
-    return signs
+    """Diagonal orthogonal action of a Pauli layer on the Majorana axes.
+
+    g_2p = Z..Z X_p and g_2p+1 = Z..Z Y_p: the Z tail clashes with every X or
+    Y of the layer on qubits < p, and X_p (Y_p) clashes with a Y or Z (X or
+    Z) at p. An odd clash count flips the axis.
+    """
+    signs, tail = [], 0
+    for letter in letters:
+        signs.append(-1.0 if (tail + (letter in "YZ")) % 2 else 1.0)
+        signs.append(-1.0 if (tail + (letter in "XZ")) % 2 else 1.0)
+        tail += letter in "XY"
+    return np.array(signs)
 
 
 def _assemble(n_qubits: int, primitives, tol: Tolerances) -> GateProgram:
@@ -235,31 +257,45 @@ def compile_naive(q: np.ndarray, tol: Tolerances = DEFAULT) -> GateProgram:
     """Adjacent-axis Givens QR scheme: Q = D * G_L^T * ... * G_1^T.
 
     Eliminates Q^T column by column from the bottom; the residual diagonal
-    of signs becomes the trailing Pauli layer.
+    of signs becomes the trailing Pauli layer. The rotation that zeroes
+    entry (i, j) with rows (i-1, i) needs only (i+1, j) and (i-1, j-1) done
+    first, so it runs at wavefront step t = dim-1-i+2j; one step's rotations
+    act on disjoint row pairs and are applied together with the arithmetic
+    of the sequential loop, so every bit matches it.
     """
     q = _check_orthogonal(q, tol)
     dim = q.shape[0]
     y = q.T.copy()
-    prims = []
-    for j in range(dim - 1):
-        for i in range(dim - 1, j, -1):
-            x, z = y[i - 1, j], y[i, j]
-            if z == 0.0:
-                continue
-            theta = atan2(z, x)
-            c, s = cos(theta), sin(theta)
-            upper = c * y[i - 1, :] + s * y[i, :]
-            lower = -s * y[i - 1, :] + c * y[i, :]
-            y[i - 1, :] = upper
-            y[i, :] = lower
-            y[i, j] = 0.0
-            prims.append(("givens", i - 1, -theta))
+    angles = np.zeros((dim, dim))  # angles[i, j]: rotation zeroing y[i, j], where done
+    done = np.zeros((dim, dim), dtype=bool)
+    for t in range(2 * dim - 3):
+        cols = np.arange(max(0, t - dim + 2), min(t // 2, dim - 2) + 1)
+        rows = dim - 1 + 2 * cols - t
+        keep = y[rows, cols] != 0.0
+        cols, rows = cols[keep], rows[keep]
+        thetas = [atan2(b, a) for b, a in zip(y[rows, cols].tolist(), y[rows - 1, cols].tolist())]
+        c = np.array([cos(theta) for theta in thetas])[:, None]
+        s = np.array([sin(theta) for theta in thetas])[:, None]
+        upper, lower = y[rows - 1], y[rows]
+        y[rows - 1] = c * upper + s * lower
+        y[rows] = c * lower - s * upper  # the loop's -s*a + c*b, bit for bit
+        y[rows, cols] = 0.0
+        angles[rows, cols] = thetas
+        done[rows, cols] = True
     d = np.sign(np.diag(y))
     # bugs leave O(1) residue; honest roundoff stays far below this
     if np.max(np.abs(y - np.diag(np.diag(y)))) > 1e-6:
         raise ValueError("QR elimination failed to diagonalize the input")
-    prims.append(("diag", d))
-    return _assemble(dim // 2, prims, tol)
+    # sequential order: column j ascending, row i descending
+    cols, flipped = np.nonzero(done.T[:, ::-1])
+    rows = dim - 1 - flipped
+
+    def prims():
+        for i, theta in zip(map(int, rows), map(float, angles[rows, cols])):
+            yield ("givens", i - 1, -theta)
+        yield ("diag", d)
+
+    return _assemble(dim // 2, prims(), tol)
 
 
 def _right_eliminate(m: np.ndarray, blk_row: int, blk_col: int, prims: list):
@@ -354,19 +390,32 @@ def compile_blocked(q: np.ndarray, tol: Tolerances = DEFAULT) -> GateProgram:
     return _assemble(n, prims, tol)
 
 
+def _apply_rotations(q: np.ndarray, gates, n_qubits: int) -> None:
+    """Apply rotation gates to the rows of q, one gathered update per depth layer."""
+    for layer in _layers(gates, n_qubits):
+        axes = np.array([2 * g.qubit + isinstance(g, XXRot) for g in layer])
+        c = np.array([cos(g.theta) for g in layer])[:, None]
+        s = np.array([sin(g.theta) for g in layer])[:, None]
+        upper, lower = q[axes], q[axes + 1]
+        q[axes] = c * upper - s * lower
+        q[axes + 1] = s * upper + c * lower
+
+
 def program_to_orthogonal(p: GateProgram) -> np.ndarray:
-    """Compose gate actions on the Majorana axes to recover the rotation."""
+    """Compose gate actions on the Majorana axes to recover the rotation.
+
+    Gates of one depth layer act on disjoint axis pairs, so each layer is one
+    gathered two-row update, with the arithmetic of a gate-by-gate product:
+    every row sees the same operations in the same order. The Pauli layer
+    flips axes on qubits outside its support too, so it splits the program
+    in two, each part layered on its own.
+    """
     q = np.eye(2 * p.n_qubits)
-    for gate in p.gates:
-        if isinstance(gate, PauliLayer):
-            q *= _layer_action(gate.letters)[:, None]
-            continue
-        # a Givens rotation on axes (axis, axis + 1) mixes only those two rows
-        axis = 2 * gate.qubit + isinstance(gate, XXRot)
-        c, s = cos(gate.theta), sin(gate.theta)
-        upper, lower = q[axis].copy(), q[axis + 1].copy()
-        q[axis] = c * upper - s * lower
-        q[axis + 1] = s * upper + c * lower
+    cut = next((k for k, g in enumerate(p.gates) if isinstance(g, PauliLayer)), len(p.gates))
+    _apply_rotations(q, p.gates[:cut], p.n_qubits)
+    if cut < len(p.gates):
+        q *= _layer_action(p.gates[cut].letters)[:, None]
+        _apply_rotations(q, p.gates[cut + 1:], p.n_qubits)
     return q
 
 

@@ -13,6 +13,7 @@ import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, islice
+from time import perf_counter
 
 import click
 import numpy as np
@@ -222,7 +223,9 @@ def cmd_compile(input_path, scheme, out, show_stats):
 
     try:
         _, q = io.read_matrix(input_path, expect_kind="orthogonal")
+        start = perf_counter()
         program = compile_naive(q) if scheme == "naive" else compile_blocked(q)
+        compile_s = perf_counter() - start
     except (ValueError, KeyError) as err:
         _fail("invalid-input", str(err))
     io.write_program(out, program)
@@ -233,6 +236,8 @@ def cmd_compile(input_path, scheme, out, show_stats):
             "one_qubit_count": st.one_qubit_count,
             "two_qubit_count": st.two_qubit_count,
             "depth": st.depth,
+            "residual": float(np.max(np.abs(program_to_orthogonal(program) - q))),
+            "compile_s": compile_s,
         }))
     else:
         click.echo(f"wrote {out}")

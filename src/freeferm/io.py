@@ -34,8 +34,11 @@ def matrix_from_json(obj: dict, expect_kind: str | None = None) -> tuple[str, np
     kind = obj.get("kind")
     if expect_kind is not None and kind != expect_kind:
         raise ValueError(f"expected a {expect_kind!r} matrix, found {kind!r}")
-    n = int(obj["n_modes"])
-    data = np.array(obj["data"], dtype=float)
+    try:
+        n = int(obj["n_modes"])
+        data = np.array(obj["data"], dtype=float)
+    except TypeError as err:
+        raise ValueError(f"malformed matrix file: {err}") from err
     if data.size != (2 * n) ** 2:
         raise ValueError("matrix payload has the wrong size")
     return kind, data.reshape(2 * n, 2 * n)
@@ -52,16 +55,16 @@ def read_matrix(path, expect_kind: str | None = None) -> tuple[str, np.ndarray]:
         return matrix_from_json(json.load(fh), expect_kind)
 
 
+def _gate_to_json(gate) -> dict:
+    if isinstance(gate, ZRot):
+        return {"kind": "zrot", "q": gate.qubit, "theta": gate.theta}
+    if isinstance(gate, XXRot):
+        return {"kind": "xxrot", "q": [gate.qubit, gate.qubit + 1], "theta": gate.theta}
+    return {"kind": "pauli", "string": gate.letters}
+
+
 def program_to_json(p: GateProgram) -> list:
-    out = []
-    for gate in p.gates:
-        if isinstance(gate, ZRot):
-            out.append({"kind": "zrot", "q": gate.qubit, "theta": gate.theta})
-        elif isinstance(gate, XXRot):
-            out.append({"kind": "xxrot", "q": [gate.qubit, gate.qubit + 1], "theta": gate.theta})
-        else:
-            out.append({"kind": "pauli", "string": gate.letters})
-    return out
+    return [_gate_to_json(gate) for gate in p.gates]
 
 
 def program_from_json(data: list, n_qubits: int) -> GateProgram:
@@ -82,10 +85,18 @@ def program_from_json(data: list, n_qubits: int) -> GateProgram:
     return GateProgram(n_qubits, tuple(gates))
 
 
+# gates per json.dumps call: the C encoder's speed without a whole-file string
+_PROGRAM_CHUNK = 256
+
+
 def write_program(path, p: GateProgram) -> None:
+    """Write the bytes ``json.dump`` would, encoding the gate list in chunks."""
     with open(path, "w") as fh:
-        json.dump({"n_qubits": p.n_qubits, "gates": program_to_json(p)}, fh)
-        fh.write("\n")
+        fh.write(f'{{"n_qubits": {p.n_qubits:d}, "gates": [')
+        for start in range(0, len(p.gates), _PROGRAM_CHUNK):
+            chunk = [_gate_to_json(g) for g in p.gates[start:start + _PROGRAM_CHUNK]]
+            fh.write((", " if start else "") + json.dumps(chunk)[1:-1])
+        fh.write("]}\n")
 
 
 def read_program(path) -> GateProgram:
@@ -103,8 +114,11 @@ def integrals_to_json(ints: ElectronicIntegrals) -> dict:
 
 
 def _integrals_args(obj: dict) -> tuple[int, np.ndarray, dict]:
-    h2 = {tuple(item["pqrs"]): float(item["value"]) for item in obj["h2"]}
-    return int(obj["n"]), np.array(obj["h1"], dtype=float), h2
+    try:
+        h2 = {tuple(item["pqrs"]): float(item["value"]) for item in obj["h2"]}
+        return int(obj["n"]), np.array(obj["h1"], dtype=float), h2
+    except TypeError as err:
+        raise ValueError(f"malformed integrals file: {err}") from err
 
 
 def integrals_from_json(obj: dict) -> ElectronicIntegrals:

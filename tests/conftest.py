@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from math import atan2, cos, sin
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from freeferm import (
     vacuum_covariance,
 )
 from freeferm import dense
+from freeferm.circuits import PauliLayer, XXRot, _assemble, _check_orthogonal
 
 
 @pytest.fixture
@@ -116,6 +118,55 @@ def reference_first_fit(candidates, groups, n_modes):
         else:
             groups.append([idx])
     return groups
+
+
+def reference_compile_naive(q, tol=ff.DEFAULT):
+    """The sequential Givens QR loop: what the wavefront ``compile_naive`` must match."""
+    y = _check_orthogonal(q, tol).T.copy()
+    dim = y.shape[0]
+    prims = []
+    for j in range(dim - 1):
+        for i in range(dim - 1, j, -1):
+            x, z = y[i - 1, j], y[i, j]
+            if z == 0.0:
+                continue
+            theta = atan2(z, x)
+            c, s = cos(theta), sin(theta)
+            upper = c * y[i - 1, :] + s * y[i, :]
+            lower = -s * y[i - 1, :] + c * y[i, :]
+            y[i - 1, :] = upper
+            y[i, :] = lower
+            y[i, j] = 0.0
+            prims.append(("givens", i - 1, -theta))
+    prims.append(("diag", np.sign(np.diag(y))))
+    return _assemble(dim // 2, prims, tol)
+
+
+def reference_layer_action(letters):
+    """Pauli-layer signs by one ``to_pauli`` clash count per axis."""
+    n = len(letters)
+    signs = np.ones(2 * n)
+    for u in range(2 * n):
+        p = ff.to_pauli(MajoranaMonomial.canonical(n, (u,)))
+        clashes = sum(x != "I" and y != "I" and x != y for x, y in zip(letters, p.letters))
+        if clashes % 2:
+            signs[u] = -1.0
+    return signs
+
+
+def reference_program_to_orthogonal(program):
+    """Gate-by-gate two-row updates: what the layered recomposition must match."""
+    q = np.eye(2 * program.n_qubits)
+    for gate in program.gates:
+        if isinstance(gate, PauliLayer):
+            q *= reference_layer_action(gate.letters)[:, None]
+            continue
+        axis = 2 * gate.qubit + isinstance(gate, XXRot)
+        c, s = cos(gate.theta), sin(gate.theta)
+        upper, lower = q[axis].copy(), q[axis + 1].copy()
+        q[axis] = c * upper - s * lower
+        q[axis + 1] = s * upper + c * lower
+    return q
 
 
 def random_symmetric_integrals(n, rng):

@@ -1,4 +1,6 @@
 """Compiler round trips, dense consistency, and gate statistics."""
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,12 @@ from freeferm.circuits import (
     stats_compare,
 )
 
-from conftest import random_orthogonal
+from conftest import (
+    random_orthogonal,
+    reference_compile_naive,
+    reference_layer_action,
+    reference_program_to_orthogonal,
+)
 
 COMPILERS = [compile_naive, compile_blocked]
 
@@ -206,6 +213,78 @@ def test_depth_definition():
     prog = ff.GateProgram(3, (ZRot(0, 0.1), ZRot(1, 0.1), XXRot(0, 0.2), ZRot(2, 0.3)))
     # layer 1: Z0 | Z1 | Z2, layer 2: XX(0,1)
     assert prog.stats().depth == 2
+
+
+# ------------------------------------------- sequential reference equality
+
+@pytest.mark.parametrize("n", list(range(1, 9)) + [16, 32])
+def test_naive_wavefront_matches_sequential_loop(n, rng):
+    for _ in range(3 if n <= 8 else 1):
+        q = random_orthogonal(2 * n, rng)
+        assert compile_naive(q).gates == reference_compile_naive(q).gates
+
+
+def structured_orthogonals(rng, n=4):
+    """Q with exact zeros below the diagonal, where elimination steps are skipped."""
+    dim = 2 * n
+    signs = rng.choice([-1.0, 1.0], size=dim)
+    blocks = np.zeros((dim, dim))
+    blocks[:2, :2] = random_orthogonal(2, rng)
+    blocks[2:, 2:] = random_orthogonal(dim - 2, rng)
+    split = np.zeros((dim, dim))
+    split[:4, :4] = random_orthogonal(4, rng)
+    split[4:, 4:] = random_orthogonal(dim - 4, rng)
+    return {
+        "identity": np.eye(dim),
+        "permutation": np.eye(dim)[rng.permutation(dim)],
+        "signed permutation": np.eye(dim)[rng.permutation(dim)] * signs,
+        "block diagonal 2+6": blocks,
+        "block diagonal 4+4": split,
+        "reversal": np.eye(dim)[::-1],
+    }
+
+
+@pytest.mark.parametrize("compiler", COMPILERS)
+def test_structured_inputs_match_references(compiler, rng):
+    for name, q in structured_orthogonals(rng).items():
+        prog = compiler(q)
+        if compiler is compile_naive:
+            assert prog.gates == reference_compile_naive(q).gates, name
+        recomposed = program_to_orthogonal(prog)
+        assert np.array_equal(recomposed, reference_program_to_orthogonal(prog)), name
+        assert np.max(np.abs(recomposed - q)) < 1e-9, name
+
+
+def random_program(n, gates, rng, layer_at=None):
+    """Random rotations, with a random Pauli layer inserted at ``layer_at``."""
+    out = []
+    for _ in range(gates):
+        if n > 1 and rng.random() < 0.5:
+            out.append(XXRot(int(rng.integers(n - 1)), float(rng.normal())))
+        else:
+            out.append(ZRot(int(rng.integers(n)), float(rng.normal())))
+    if layer_at is not None:
+        out.insert(layer_at, PauliLayer("".join(rng.choice(list("IXYZ"), size=n))))
+    return ff.GateProgram(n, tuple(out))
+
+
+@pytest.mark.parametrize("layer_at", [None, 0, 20, 40])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_layered_recomposition_matches_gate_by_gate(n, layer_at, rng):
+    for _ in range(5):
+        prog = random_program(n, 40, rng, layer_at)
+        assert np.array_equal(program_to_orthogonal(prog), reference_program_to_orthogonal(prog))
+    for compiler in COMPILERS:
+        prog = compiler(random_orthogonal(2 * n, rng))
+        assert np.array_equal(program_to_orthogonal(prog), reference_program_to_orthogonal(prog))
+
+
+def test_layer_action_matches_to_pauli(rng):
+    strings = ["".join(w) for length in range(1, 5) for w in product("IXYZ", repeat=length)]
+    strings += ["".join(rng.choice(list("IXYZ"), size=int(rng.integers(5, 24))))
+                for _ in range(50)]
+    for letters in strings:
+        assert np.array_equal(_layer_action(letters), reference_layer_action(letters)), letters
 
 
 # ------------------------------------------------------------ serialization

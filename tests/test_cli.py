@@ -135,11 +135,16 @@ def test_compile_round_trip_via_cli(runner, tmp_path, rng):
     io.write_matrix(src, "orthogonal", q)
     out = tmp_path / "prog.json"
     res = runner.invoke(main, [
-        "compile", "--input", str(src), "--scheme", "blocked", "--out", str(out),
+        "compile", "--input", str(src), "--scheme", "blocked", "--out", str(out), "--stats",
     ])
     assert res.exit_code == 0, res.output
     prog = io.read_program(out)
     assert np.max(np.abs(ff.program_to_orthogonal(prog) - q)) < 1e-9
+    stats = json.loads(res.output.strip().splitlines()[-1])
+    assert set(stats) == {"scheme", "one_qubit_count", "two_qubit_count", "depth",
+                          "residual", "compile_s"}
+    assert 0.0 <= stats["residual"] < 1e-9
+    assert stats["compile_s"] >= 0.0
 
 
 def test_compile_rejects_bad_matrix(runner, tmp_path):
@@ -150,6 +155,18 @@ def test_compile_rejects_bad_matrix(runner, tmp_path):
     ])
     assert res.exit_code != 0
     assert "error:invalid-input" in res.output
+
+
+def test_compile_rejects_null_mode_count(runner, tmp_path):
+    src = tmp_path / "q.json"
+    src.write_text(json.dumps({"kind": "orthogonal", "n_modes": None, "data": [1.0, 0.0, 0.0, 1.0]}))
+    res = runner.invoke(main, [
+        "compile", "--input", str(src), "--out", str(tmp_path / "prog.json"),
+    ])
+    assert res.exit_code != 0
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:invalid-input: ")
+    assert not (tmp_path / "prog.json").exists()
 
 
 def test_partition_analytic_counts(runner, tmp_path, rng):
@@ -201,6 +218,19 @@ def test_partition_rejects_bad_two_body_entry(runner, tmp_path, pqrs, message):
     ])
     assert res.exit_code != 0
     assert res.output.strip().splitlines() == [f"error:invalid-input: {message}"]
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("item", [{"pqrs": 5, "value": 1.0}, {"pqrs": [0, 0, 0, 0], "value": None}])
+def test_partition_rejects_malformed_two_body_item(runner, tmp_path, item):
+    src = tmp_path / "ints.json"
+    src.write_text(json.dumps({"n": 2, "h1": [[1.0, 0.0], [0.0, 1.0]], "h2": [item]}))
+    res = runner.invoke(main, [
+        "partition", "--input", str(src), "--report", str(tmp_path / "report.json"),
+    ])
+    assert res.exit_code != 0
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:invalid-input: ")
     assert not (tmp_path / "report.json").exists()
 
 

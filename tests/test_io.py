@@ -48,6 +48,23 @@ def test_program_file_round_trip(tmp_path, rng):
     assert kinds <= {"zrot", "xxrot", "pauli"}
 
 
+@pytest.mark.parametrize("rotations, layer", [
+    (0, False), (0, True), (io._PROGRAM_CHUNK, False), (io._PROGRAM_CHUNK, True),
+])
+def test_write_program_matches_json_dump(tmp_path, rng, rotations, layer):
+    n = 4
+    gates = [ff.XXRot(int(q), float(t)) if q < n - 1 and t > 0 else ff.ZRot(int(q), float(t))
+             for q, t in zip(rng.integers(n, size=rotations), rng.normal(size=rotations))]
+    if layer:
+        gates.append(ff.PauliLayer("XYZI"))
+    prog = ff.GateProgram(n, tuple(gates))
+    io.write_program(tmp_path / "chunked.json", prog)
+    with open(tmp_path / "dumped.json", "w") as fh:
+        json.dump({"n_qubits": n, "gates": io.program_to_json(prog)}, fh)
+        fh.write("\n")
+    assert (tmp_path / "chunked.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+
 def test_integrals_round_trip(tmp_path, rng):
     h1, h2 = random_symmetric_integrals(3, rng)
     ints = ff.ElectronicIntegrals(3, h1, h2)
