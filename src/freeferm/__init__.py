@@ -5,6 +5,7 @@ Modules
 majorana   exact monomial algebra, Jordan-Wigner images, signed permutations
 gaussian   covariance matrices, Pfaffians, Wick calculus, exact sampling
 dense      brute-force Fock-space oracle for validation at small n
+oracle     fast paths checked against dense; import it explicitly
 shadows    randomized-measurement tomography and symmetry-adjusted mitigation
 circuits   compilation of orthogonal rotations into matchgate circuits
 partition  Majorana form of electronic Hamiltonians, anticommuting grouping

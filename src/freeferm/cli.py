@@ -1,6 +1,7 @@
 """Command-line frontend.
 
-Subcommands: shadow-sim, compile, partition, verify. Every failure path
+Subcommands: shadow-sim, compile, partition, verify. ``verify`` prints
+:func:`freeferm.oracle.battery`, imported only when it runs. Every failure path
 exits nonzero with a single machine-parsable ``error:<code>: message`` line
 on stderr. Randomness is counter-based: the master seed and a fixed chunk
 index derive each sample chunk's stream, so outputs are byte-identical for
@@ -12,26 +13,15 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from itertools import combinations, islice
+from itertools import islice
 from time import perf_counter
 
 import click
 import numpy as np
 
-from . import dense, io
-from .circuits import compile_blocked, compile_naive, dense_unitary, program_to_orthogonal
-from .gaussian import (
-    CovarianceMatrix,
-    QuadraticHamiltonian,
-    SlaterDeterminant,
-    measurement_distribution,
-    one_rdm,
-    slater_covariance,
-    spectrum,
-    vacuum_covariance,
-    wick_expectation,
-)
-from .majorana import MajoranaMonomial, SignedPermutation, multiply
+from . import io
+from .circuits import compile_blocked, compile_naive, program_to_orthogonal
+from .gaussian import SlaterDeterminant, one_rdm, slater_covariance
 from .partition import (
     analytic_partition,
     greedy_partition,
@@ -43,7 +33,6 @@ from .shadows import (
     MitigationError,
     NoiseModel,
     ShadowAccumulator,
-    _colex_rank,
     exact_two_rdm,
     mitigate,
     sample_snapshots,
@@ -132,10 +121,9 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
             raise ValueError("threads must be >= 1")
         noise_model = _parse_noise(noise)
         spec = symmetry_spec(modes, eta, auto_ancilla=True)
-    except (ValueError, MitigationError) as err:
+        os.makedirs(out, exist_ok=True)
+    except (ValueError, MitigationError, OSError) as err:
         _fail("invalid-argument", str(err))
-
-    os.makedirs(out, exist_ok=True)
 
     slater = _random_slater(modes, eta, seed)
     isometry = slater.isometry
@@ -156,11 +144,7 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
         part.add_batch(perms, signs, bits)
         return part, ((perms, signs, bits) if writer is not None else None)
 
-    sizes = []
-    offset = 0
-    while offset < samples:
-        sizes.append(min(CHUNK, samples - offset))
-        offset += sizes[-1]
+    sizes = [min(CHUNK, samples - offset) for offset in range(0, samples, CHUNK)]
 
     curve_rows = []
     next_mark = 0
@@ -226,9 +210,11 @@ def cmd_compile(input_path, scheme, out, show_stats):
         start = perf_counter()
         program = compile_naive(q) if scheme == "naive" else compile_blocked(q)
         compile_s = perf_counter() - start
+        io.write_program(out, program)
     except (ValueError, KeyError) as err:
         _fail("invalid-input", str(err))
-    io.write_program(out, program)
+    except OSError as err:
+        _fail("invalid-argument", str(err))
     if show_stats:
         st = program.stats()
         click.echo(json.dumps({
@@ -267,127 +253,14 @@ def cmd_partition(input_path, method, report_path):
         report = io.partition_report(norms_report(poly, part), part, extra)
         report["method"] = method
         report["constant"] = poly.constant
+        with open(report_path, "w") as fh:
+            json.dump(report, fh)
+            fh.write("\n")
     except (ValueError, KeyError) as err:
         _fail("invalid-input", str(err))
-    with open(report_path, "w") as fh:
-        json.dump(report, fh)
-        fh.write("\n")
+    except OSError as err:
+        _fail("invalid-argument", str(err))
     click.echo(f"wrote {report_path} ({len(part.sets)} sets)")
-
-
-def _verify_checks(n: int, seed: int):
-    """Oracle-equivalence battery at a configurable mode count."""
-    from scipy.stats import ortho_group
-
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    def random_monomial(nn, max_deg):
-        deg = int(rng.integers(0, max_deg + 1))
-        idx = tuple(sorted(rng.choice(2 * nn, size=deg, replace=False))) if deg else ()
-        return MajoranaMonomial.canonical(nn, idx)
-
-    # symbolic products against dense matrices
-    worst = 0.0
-    for _ in range(40):
-        a = random_monomial(n, 4)
-        b = random_monomial(n, 4)
-        lhs = dense.build_monomial(a).matrix @ dense.build_monomial(b).matrix
-        rhs = dense.build_monomial(multiply(a, b)).matrix
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    checks.append(("monomial products match dense algebra", worst <= 1e-12, f"max dev {worst:.2e}"))
-
-    # Wick expectations against dense states
-    worst = 0.0
-    for _ in range(10):
-        a_gen = rng.normal(size=(2 * n, 2 * n))
-        a_gen = a_gen - a_gen.T
-        u = dense.gaussian_unitary(n, a_gen)
-        psi = dense.apply(u, dense.vacuum_state(n))
-        from scipy.linalg import expm
-
-        cov = CovarianceMatrix(expm(a_gen) @ vacuum_covariance(n).matrix @ expm(a_gen).T)
-        for deg in (2, 4):
-            for idx in combinations(range(2 * n), deg):
-                mono = MajoranaMonomial.canonical(n, idx)
-                fast = wick_expectation(cov, mono)
-                slow = dense.expectation(psi, dense.build_monomial(mono))
-                worst = max(worst, abs(fast - slow))
-    checks.append(("Wick expectations match dense states", worst <= 1e-9, f"max dev {worst:.2e}"))
-
-    # free spectrum against dense eigenvalues
-    worst = 0.0
-    for _ in range(10):
-        a_gen = rng.normal(size=(2 * n, 2 * n))
-        a_gen = a_gen - a_gen.T
-        ham = QuadraticHamiltonian(a_gen)
-        fast = spectrum(ham)
-        slow = np.sort(np.linalg.eigvalsh(dense.quadratic_hamiltonian(n, a_gen).matrix))
-        worst = max(worst, float(np.max(np.abs(fast - slow))))
-    checks.append(("free spectra match dense eigenvalues", worst <= 1e-9, f"max dev {worst:.2e}"))
-
-    # measurement distribution against dense Born rule
-    worst = 0.0
-    for _ in range(5):
-        a_gen = rng.normal(size=(2 * n, 2 * n))
-        a_gen = a_gen - a_gen.T
-        u = dense.gaussian_unitary(n, a_gen)
-        psi = dense.apply(u, dense.vacuum_state(n))
-        from scipy.linalg import expm
-
-        cov = CovarianceMatrix(expm(a_gen) @ vacuum_covariance(n).matrix @ expm(a_gen).T)
-        dist = measurement_distribution(cov)
-        worst = max(worst, float(np.max(np.abs(dist - dense.born_distribution(psi)))))
-    checks.append(("sampling chain matches dense Born rule", worst <= 1e-9, f"max dev {worst:.2e}"))
-
-    # compiler round trips and dense conjugation
-    worst_rt = 0.0
-    worst_dense = 0.0
-    for _ in range(5):
-        q = ortho_group.rvs(2 * n, random_state=rng)
-        for compiler in (compile_naive, compile_blocked):
-            prog = compiler(q)
-            worst_rt = max(worst_rt, float(np.max(np.abs(program_to_orthogonal(prog) - q))))
-            u = dense_unitary(prog)
-            for mu in range(2 * n):
-                lhs = u.conj().T @ dense.build_majorana(n, mu).matrix @ u
-                rhs = sum(q[mu, v] * dense.build_majorana(n, v).matrix for v in range(2 * n))
-                worst_dense = max(worst_dense, float(np.max(np.abs(lhs - rhs))))
-    checks.append(("compiled programs recompose to Q", worst_rt <= 1e-9, f"max dev {worst_rt:.2e}"))
-    checks.append(("compiled circuits conjugate generators like Q", worst_dense <= 1e-8, f"max dev {worst_dense:.2e}"))
-
-    # estimator identity, exhaustive at n = 2
-    from itertools import permutations, product
-
-    cov = vacuum_covariance(2)
-    weighted = {1: np.zeros(6), 2: np.zeros(1)}
-    count = 0
-    for perm in permutations(range(4)):
-        for signs in product((1, -1), repeat=4):
-            sp = SignedPermutation(2, perm, signs)
-            mat = sp.matrix()
-            rotated = CovarianceMatrix(mat @ cov.matrix @ mat.T, validate=False)
-            probs = measurement_distribution(rotated)
-            for z in range(4):
-                if probs[z] == 0.0:
-                    continue
-                bits = np.array([(z >> 1) & 1, z & 1], dtype=np.uint8)
-                single = ShadowAccumulator(2, 2)
-                single.add_batch(
-                    np.array(perm)[None, :], np.array(signs)[None, :], bits[None, :]
-                )
-                for j in weighted:
-                    weighted[j] += probs[z] * single.sums[j]
-            count += 1
-    acc_err = 0.0
-    for j in weighted:
-        sets = list(combinations(range(4), 2 * j))
-        for idx, rank in zip(sets, _colex_rank(np.array(sets), 4).tolist()):
-            truth = wick_expectation(cov, MajoranaMonomial.canonical(2, idx)).real
-            acc_err = max(acc_err, abs(weighted[j][rank] / count - truth))
-    checks.append(("exhaustive estimator identity (n=2 vacuum)", acc_err <= 1e-12, f"max dev {acc_err:.2e}"))
-
-    return checks
 
 
 @main.command("verify")
@@ -397,14 +270,15 @@ def cmd_verify(modes, seed):
     """Run the dense-oracle equivalence battery; exit 0 iff all checks pass."""
     if not 2 <= modes <= 5:
         _fail("invalid-argument", "verify supports 2 <= modes <= 5")
-    checks = _verify_checks(modes, seed)
+    if seed < 0:
+        _fail("invalid-argument", "seed must be >= 0")
+    from . import oracle
+
+    checks = oracle.battery(modes, seed)
     width = max(len(name) for name, _, _ in checks)
-    ok_all = True
     for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        ok_all &= ok
-        click.echo(f"{name.ljust(width)}  {status}  {detail}")
-    if not ok_all:
+        click.echo(f"{name.ljust(width)}  {'PASS' if ok else 'FAIL'}  {detail}")
+    if not all(ok for _, ok, _ in checks):
         sys.exit(1)
 
 

@@ -129,11 +129,6 @@ def gaussian_unitary(n_modes: int, a: np.ndarray) -> DenseOperator:
     return DenseOperator(n_modes, u_mat)
 
 
-def exp_quadratic(n_modes: int, a: np.ndarray) -> DenseOperator:
-    """Alias for :func:`gaussian_unitary`; see its adjoint-action contract."""
-    return gaussian_unitary(n_modes, a)
-
-
 def exp_one_body(n_modes: int, h: np.ndarray) -> DenseOperator:
     """Time evolution exp(-i H) for H = sum_pq h_pq a_p^dag a_q.
 

@@ -121,10 +121,6 @@ def _integrals_args(obj: dict) -> tuple[int, np.ndarray, dict]:
         raise ValueError(f"malformed integrals file: {err}") from err
 
 
-def integrals_from_json(obj: dict) -> ElectronicIntegrals:
-    return ElectronicIntegrals(*_integrals_args(obj))
-
-
 def write_integrals(path, ints: ElectronicIntegrals) -> None:
     with open(path, "w") as fh:
         json.dump(integrals_to_json(ints), fh)

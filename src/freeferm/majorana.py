@@ -137,9 +137,6 @@ class MajoranaMonomial:
     def is_canonical(self) -> bool:
         return self.phase_pow_i == canonical_phase_pow(self.degree)
 
-    def with_phase_times(self, pow_i: int) -> "MajoranaMonomial":
-        return MajoranaMonomial(self.n_modes, self.indices, self.phase_pow_i + pow_i)
-
     def __mul__(self, other: "MajoranaMonomial") -> "MajoranaMonomial":
         return multiply(self, other)
 

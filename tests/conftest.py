@@ -1,34 +1,23 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from math import atan2, cos, sin
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 from scipy.stats import ortho_group, unitary_group
 
 import freeferm as ff
-from freeferm import (
-    CovarianceMatrix,
-    MajoranaMonomial,
-    SlaterDeterminant,
-    evolve,
-    vacuum_covariance,
-)
-from freeferm import dense
+from freeferm import CovarianceMatrix, MajoranaMonomial, SlaterDeterminant, oracle
 from freeferm.circuits import PauliLayer, XXRot, _assemble, _check_orthogonal
+from freeferm.oracle import random_antisymmetric
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def random_antisymmetric(n_modes, rng, scale=1.0):
-    a = rng.normal(size=(2 * n_modes, 2 * n_modes)) * scale
-    return a - a.T
 
 
 def random_orthogonal(dim, rng):
@@ -44,12 +33,7 @@ def random_slater(n_modes, eta, rng):
     return SlaterDeterminant(u[:, :eta])
 
 
-def random_pure_state(n_modes, rng, scale=0.7):
-    """Matched pair (covariance matrix, dense state) of a random pure Gaussian."""
-    a = random_antisymmetric(n_modes, rng, scale)
-    cov = evolve(vacuum_covariance(n_modes), expm(a))
-    psi = dense.apply(dense.gaussian_unitary(n_modes, a), dense.vacuum_state(n_modes))
-    return cov, psi
+random_pure_state = partial(oracle.random_pure_state, scale=0.7)
 
 
 def random_mixed_covariance(n_modes, rng):

@@ -4,24 +4,16 @@ Run with ``pytest tests/test_acceptance.py -v -s``. The long tomography
 criteria (3 and 4) draw a few million snapshots and take a few minutes.
 """
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations
 from math import comb
 
 import numpy as np
-import pytest
-from scipy.linalg import expm
 from scipy.stats import ortho_group
 
 import freeferm as ff
-from freeferm import dense
-from freeferm.circuits import (
-    compile_blocked,
-    compile_naive,
-    dense_unitary,
-    program_to_orthogonal,
-    stats_compare,
-)
-from freeferm.gaussian import measurement_distribution, one_rdm, slater_covariance
+from freeferm import dense, oracle
+from freeferm.circuits import compile_blocked, compile_naive, stats_compare
+from freeferm.gaussian import one_rdm, slater_covariance
 from freeferm.shadows import ShadowAccumulator, exact_two_rdm
 
 from conftest import (
@@ -58,36 +50,7 @@ def test_criterion_1_exact_channel_identity():
     for _ in range(3):
         states.append(random_mixed_covariance(2, rng))
 
-    elements = [
-        ff.SignedPermutation(2, perm, signs)
-        for perm in permutations(range(4))
-        for signs in product((1, -1), repeat=4)
-    ]
-    assert len(elements) == 384
-
-    worst = 0.0
-    for cov in states:
-        weighted = {j: np.zeros(comb(4, 2 * j)) for j in (1, 2)}
-        for sp in elements:
-            mat = sp.matrix()
-            rotated = ff.CovarianceMatrix(mat @ cov.matrix @ mat.T, validate=False)
-            probs = measurement_distribution(rotated)
-            for z in range(4):
-                if probs[z] == 0.0:
-                    continue
-                bits = np.array([(z >> 1) & 1, z & 1], dtype=np.uint8)
-                single = ShadowAccumulator(2, 2)
-                single.add_batch(
-                    np.array(sp.perm)[None, :], np.array(sp.signs)[None, :], bits[None, :]
-                )
-                for j in (1, 2):
-                    weighted[j] += probs[z] * single.sums[j]
-        for j in (1, 2):
-            means = weighted[j] / len(elements)
-            for rank, idx in enumerate(colex_sets(4, 2 * j)):
-                truth = ff.wick_expectation(
-                    cov, ff.MajoranaMonomial.canonical(2, idx)).real
-                worst = max(worst, abs(means[rank] - truth))
+    worst = max(oracle.channel_identity_deviation(cov) for cov in states)
     ok = worst <= 1e-12
     assert report("1 exact shadow-channel identity (n=2)", ok, f"max dev {worst:.2e}")
 
@@ -196,18 +159,8 @@ def test_criterion_4_mitigation_beats_plateau():
 
 def test_criterion_5_oracle_equivalence():
     rng = np.random.default_rng(500)
-    worst = 0.0
-    for n in (2, 3, 4, 5):
-        for _ in range(50):
-            cov, psi = random_pure_state(n, rng)
-            for deg in (2, 4, 6):
-                if deg > 2 * n:
-                    continue
-                for idx in combinations(range(2 * n), deg):
-                    mono = ff.MajoranaMonomial.canonical(n, idx)
-                    fast = ff.wick_expectation(cov, mono)
-                    slow = dense.expectation(psi, dense.build_monomial(mono))
-                    worst = max(worst, abs(fast - slow))
+    worst = max(oracle.wick_deviation(*random_pure_state(n, rng), (2, 4, 6))
+                for n in (2, 3, 4, 5) for _ in range(50))
     expectations_ok = worst <= 1e-9
 
     tv_worst = 0.0
@@ -233,13 +186,8 @@ def test_criterion_5_oracle_equivalence():
 
 def test_criterion_6_free_spectrum():
     rng = np.random.default_rng(600)
-    worst = 0.0
-    for n in (2, 3, 4):
-        for _ in range(100):
-            a = random_antisymmetric(n, rng)
-            fast = ff.spectrum(ff.QuadraticHamiltonian(a))
-            slow = np.sort(np.linalg.eigvalsh(dense.quadratic_hamiltonian(n, a).matrix))
-            worst = max(worst, float(np.max(np.abs(fast - slow))))
+    worst = max(oracle.spectrum_deviation(random_antisymmetric(n, rng))
+                for n in (2, 3, 4) for _ in range(100))
     ok = worst <= 1e-9
     assert report("6 free-fermion spectrum vs dense eigenvalues", ok,
                   f"max dev {worst:.2e}")
@@ -256,8 +204,7 @@ def test_criterion_7a_compiler_round_trip():
         for _ in range(100):
             q = ortho_group.rvs(2 * n, random_state=rng)
             for compiler in (compile_naive, compile_blocked):
-                dev = np.max(np.abs(program_to_orthogonal(compiler(q)) - q))
-                worst = max(worst, float(dev))
+                worst = max(worst, oracle.round_trip_deviation(compiler(q), q))
     ok = worst <= 1e-9
     assert report("7a compiler round trip (n=2..8)", ok, f"max dev {worst:.2e}")
 
@@ -267,13 +214,8 @@ def test_criterion_7b_compiler_dense_conjugation():
     worst = 0.0
     for n in (2, 3, 4, 5):
         q = ortho_group.rvs(2 * n, random_state=rng)
-        gammas = [dense.build_majorana(n, mu).matrix for mu in range(2 * n)]
         for compiler in (compile_naive, compile_blocked):
-            u = dense_unitary(compiler(q))
-            for mu in range(2 * n):
-                lhs = u.conj().T @ gammas[mu] @ u
-                rhs = sum(q[mu, v] * gammas[v] for v in range(2 * n))
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            worst = max(worst, oracle.conjugation_deviation(compiler(q), q))
     ok = worst <= 1e-8
     assert report("7b compiled circuits conjugate like Q (n<=5)", ok,
                   f"max dev {worst:.2e}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import freeferm as ff
-from freeferm import dense
+from freeferm import dense, oracle
 from freeferm.circuits import (
     PauliLayer,
     _givens_matrix,
@@ -133,21 +133,14 @@ def test_round_trip_both_schemes(n, rng):
     for _ in range(100):
         q = random_orthogonal(2 * n, rng)
         for compiler in COMPILERS:
-            prog = compiler(q)
-            recomposed = program_to_orthogonal(prog)
-            assert np.max(np.abs(recomposed - q)) <= 1e-9
+            assert oracle.round_trip_deviation(compiler(q), q) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_dense_conjugation(n, rng):
     q = random_orthogonal(2 * n, rng)
-    gammas = [dense.build_majorana(n, mu).matrix for mu in range(2 * n)]
     for compiler in COMPILERS:
-        u = dense_unitary(compiler(q))
-        for mu in range(2 * n):
-            lhs = u.conj().T @ gammas[mu] @ u
-            rhs = sum(q[mu, v] * gammas[v] for v in range(2 * n))
-            assert np.max(np.abs(lhs - rhs)) <= 1e-8
+        assert oracle.conjugation_deviation(compiler(q), q) <= 1e-8
 
 
 def test_reflections_compile_and_parity(rng):
@@ -173,7 +166,7 @@ def test_embedded_unitaries_compile(rng):
     u = random_unitary(n, rng)
     q = ff.embed_unitary(u)
     for compiler in COMPILERS:
-        assert np.max(np.abs(program_to_orthogonal(compiler(q)) - q)) <= 1e-9
+        assert oracle.round_trip_deviation(compiler(q), q) <= 1e-9
 
 
 # ------------------------------------------------------------------- stats

@@ -1,13 +1,18 @@
 """Command-line interface behavior and determinism."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import freeferm as ff
-from freeferm import cli, io
+from freeferm import cli, io, oracle
+from freeferm.circuits import dense_unitary
 from freeferm.cli import main
+from freeferm.shadows import ShadowAccumulator
 
 from conftest import random_orthogonal, random_symmetric_integrals
 
@@ -244,3 +249,93 @@ def test_verify_passes(runner):
 def test_verify_rejects_large_modes(runner):
     res = runner.invoke(main, ["verify", "--modes", "9"])
     assert res.exit_code != 0
+
+
+def test_verify_rejects_negative_seed(runner):
+    res = runner.invoke(main, ["verify", "--seed", "-1"])
+    assert res.exit_code == 2
+    assert res.output.strip().splitlines() == ["error:invalid-argument: seed must be >= 0"]
+
+
+def _phase_flipped(a, b):
+    out = ff.multiply(a, b)
+    return ff.MajoranaMonomial(out.n_modes, out.indices, out.phase_pow_i + 2)
+
+
+def _biased_add_batch(self, *batch, add_batch=ShadowAccumulator.add_batch):
+    add_batch(self, *batch)
+    for sums in self.sums.values():
+        sums += 1e-6
+
+
+VERIFY_LINES = ("monomial products", "Wick", "free spectra", "Born", "recompose",
+                "conjugate", "estimator identity")
+
+
+@pytest.mark.parametrize("owner, name, fake, failing", [
+    (oracle, "multiply", _phase_flipped, {"monomial products"}),
+    # the estimator identity takes its truth from Wick, so it fails too
+    (oracle, "wick_expectation", lambda cov, mono: ff.wick_expectation(cov, mono) + 1e-6,
+     {"Wick", "estimator identity"}),
+    (oracle, "spectrum", lambda ham: ff.spectrum(ham) + 1e-6, {"free spectra"}),
+    (oracle, "measurement_distribution", lambda cov: ff.measurement_distribution(cov) + 1e-6,
+     {"Born"}),
+    (oracle, "program_to_orthogonal", lambda prog: ff.program_to_orthogonal(prog) + 1e-6,
+     {"recompose"}),
+    (oracle, "dense_unitary", lambda prog: dense_unitary(prog) * (1 + 1e-6), {"conjugate"}),
+    (ShadowAccumulator, "add_batch", _biased_add_batch, {"estimator identity"}),
+])
+def test_verify_fails_when_a_fast_path_is_off(runner, monkeypatch, owner, name, fake, failing):
+    monkeypatch.setattr(owner, name, fake)
+    res = runner.invoke(main, ["verify", "--modes", "2", "--seed", "3"])
+    assert res.exit_code == 1, res.output
+    lines = res.output.strip().splitlines()
+    assert len(lines) == len(VERIFY_LINES)
+    for key, line in zip(VERIFY_LINES, lines):
+        assert key in line
+        assert ("  FAIL  " if key in failing else "  PASS  ") in line, line
+
+
+def test_cli_import_leaves_oracle_and_scipy_stats_unloaded():
+    # verify imports both lazily; at start-up they would cost every command
+    # more than a second
+    code = ("import sys, freeferm.cli; "
+            "print(sorted({'freeferm.oracle', 'scipy.stats'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ff.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_shadow_sim_rejects_existing_file_as_output(runner, tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    res = runner.invoke(main, [
+        "shadow-sim", "--modes", "2", "--eta", "1", "--samples", "10", "--out", str(out),
+    ])
+    assert res.exit_code == 2
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:invalid-argument: ")
+    assert out.read_text() == "keep"
+
+
+def test_compile_rejects_unwritable_output(runner, tmp_path):
+    src = tmp_path / "q.json"
+    io.write_matrix(src, "orthogonal", np.eye(4))
+    out = tmp_path / "missing" / "prog.json"
+    res = runner.invoke(main, ["compile", "--input", str(src), "--out", str(out)])
+    assert res.exit_code == 2
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:invalid-argument: ")
+    assert not out.parent.exists()
+
+
+def test_partition_rejects_unwritable_report(runner, tmp_path, rng):
+    src = tmp_path / "ints.json"
+    io.write_integrals(src, ff.ElectronicIntegrals(2, *random_symmetric_integrals(2, rng)))
+    report_path = tmp_path / "missing" / "report.json"
+    res = runner.invoke(main, ["partition", "--input", str(src), "--report", str(report_path)])
+    assert res.exit_code == 2
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:invalid-argument: ")
+    assert not report_path.parent.exists()

@@ -1,6 +1,4 @@
 """Self-checks of the brute-force Fock-space oracle."""
-from itertools import combinations
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -52,7 +50,7 @@ def test_parity_operator_is_z_string():
 
 def test_exp_quadratic_zero_is_identity():
     n = 2
-    u = dense.exp_quadratic(n, np.zeros((2 * n, 2 * n)))
+    u = dense.gaussian_unitary(n, np.zeros((2 * n, 2 * n)))
     assert np.max(np.abs(u.matrix - np.eye(2 ** n))) < 1e-14
 
 
@@ -60,7 +58,7 @@ def test_exp_quadratic_zero_is_identity():
 def test_exp_quadratic_adjoint_action(n, rng):
     for _ in range(5):
         a = random_antisymmetric(n, rng)
-        u = dense.exp_quadratic(n, a).matrix
+        u = dense.gaussian_unitary(n, a).matrix
         q = expm(a)
         for mu in range(2 * n):
             lhs = u.conj().T @ dense.build_majorana(n, mu).matrix @ u
@@ -72,7 +70,7 @@ def test_exp_quadratic_composition(rng):
     n = 3
     a1 = random_antisymmetric(n, rng)
     a2 = random_antisymmetric(n, rng)
-    u = dense.exp_quadratic(n, a1).matrix @ dense.exp_quadratic(n, a2).matrix
+    u = dense.gaussian_unitary(n, a1).matrix @ dense.gaussian_unitary(n, a2).matrix
     q = expm(a1) @ expm(a2)
     for mu in range(2 * n):
         lhs = u.conj().T @ dense.build_majorana(n, mu).matrix @ u
@@ -84,7 +82,7 @@ def test_exp_quadratic_commutes_with_parity(rng):
     n = 3
     parity = dense.pauli_matrix("Z" * n)
     a = random_antisymmetric(n, rng)
-    u = dense.exp_quadratic(n, a).matrix
+    u = dense.gaussian_unitary(n, a).matrix
     assert np.max(np.abs(u @ parity - parity @ u)) < 1e-10
 
 
@@ -136,6 +134,6 @@ def test_guards():
     with pytest.raises(ValueError):
         dense.pauli_matrix("I" * 13)
     with pytest.raises(ValueError):
-        dense.exp_quadratic(11, np.zeros((22, 22)))
+        dense.gaussian_unitary(11, np.zeros((22, 22)))
     with pytest.raises(ValueError):
         dense.DenseState(2, np.array([1.0, 0.0, 0.0, 0.5]))

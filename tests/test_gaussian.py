@@ -6,10 +6,9 @@ import pytest
 from scipy.linalg import expm
 
 import freeferm as ff
-from freeferm import dense
+from freeferm import dense, oracle
 from freeferm.gaussian import (
     _complete_isometry,
-    fock_covariance,
     measurement_distribution,
     slater_covariance,
 )
@@ -143,10 +142,7 @@ def test_spectrum_from_eps():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_spectrum_matches_dense(n, rng):
     for _ in range(10):
-        a = random_antisymmetric(n, rng)
-        fast = ff.spectrum(ff.QuadraticHamiltonian(a))
-        slow = np.sort(np.linalg.eigvalsh(dense.quadratic_hamiltonian(n, a).matrix))
-        assert np.max(np.abs(fast - slow)) < 1e-9
+        assert oracle.spectrum_deviation(random_antisymmetric(n, rng)) < 1e-9
 
 
 def test_spectrum_guard():
@@ -205,14 +201,7 @@ def test_wick_vacuum_values():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_wick_matches_dense(n, rng):
     cov, psi = random_pure_state(n, rng)
-    for deg in (2, 4, 6):
-        if deg > 2 * n:
-            continue
-        for idx in combinations(range(2 * n), deg):
-            m = ff.MajoranaMonomial.canonical(n, idx)
-            fast = ff.wick_expectation(cov, m)
-            slow = dense.expectation(psi, dense.build_monomial(m))
-            assert abs(fast - slow) < 1e-9
+    assert oracle.wick_deviation(cov, psi, (2, 4, 6)) < 1e-9
 
 
 def test_wick_odd_degree_vanishes(rng):
@@ -426,9 +415,8 @@ def test_sampling_raises_through_permutation(rng):
 def test_measurement_distribution_matches_dense(n, rng):
     for _ in range(5):
         cov, psi = random_pure_state(n, rng)
-        dist = measurement_distribution(cov)
-        assert np.max(np.abs(dist - dense.born_distribution(psi))) < 1e-10
-        assert abs(dist.sum() - 1.0) < 1e-12
+        assert oracle.born_deviation(cov, psi) < 1e-10
+        assert abs(measurement_distribution(cov).sum() - 1.0) < 1e-12
 
 
 def test_conditioning_slack_scales_with_prefix_probability():
@@ -440,8 +428,7 @@ def test_conditioning_slack_scales_with_prefix_probability():
         a = 0.7 * (g - g.T)
         cov = ff.evolve(ff.vacuum_covariance(4), expm(a))
         psi = dense.apply(dense.gaussian_unitary(4, a), dense.vacuum_state(4))
-        dist = measurement_distribution(cov)
-        assert np.max(np.abs(dist - dense.born_distribution(psi))) < 1e-9
+        assert oracle.born_deviation(cov, psi) < 1e-9
         sample_unrotated(cov.matrix, 2000, rng)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import freeferm as ff
-from freeferm import dense
+from freeferm import dense, oracle
 from freeferm.circuits import compile_naive, dense_unitary
 from freeferm.gaussian import measurement_distribution, one_rdm, slater_covariance
 from freeferm.shadows import (
@@ -22,7 +22,6 @@ from freeferm.shadows import (
     exact_two_rdm,
     ladder_product_expansion,
 )
-from freeferm.tolerances import DEFAULT
 
 from conftest import (
     colex_sets,
@@ -46,36 +45,6 @@ def spanning_states_n2(rng):
     for _ in range(4):
         states.append(random_mixed_covariance(2, rng))
     return states
-
-
-def exhaustive_estimator_average(cov):
-    """Average the single-shot estimator over all of B(4) with exact weights."""
-    acc = ShadowAccumulator(2, 2)
-    weighted = {j: np.zeros_like(acc.sums[j]) for j in acc.sums}
-    count = 0
-    for perm in permutations(range(4)):
-        for signs in product((1, -1), repeat=4):
-            sp = ff.SignedPermutation(2, perm, signs)
-            mat = sp.matrix()
-            rotated = ff.CovarianceMatrix(mat @ cov.matrix @ mat.T, validate=False)
-            probs = measurement_distribution(rotated)
-            for z in range(4):
-                if probs[z] == 0.0:
-                    continue
-                bits = np.array([(z >> 1) & 1, z & 1], dtype=np.uint8)
-                single = ShadowAccumulator(2, 2)
-                single.add_batch(
-                    np.array(perm)[None, :], np.array(signs)[None, :], bits[None, :]
-                )
-                for j in weighted:
-                    weighted[j] += probs[z] * single.sums[j]
-            count += 1
-    assert count == 384
-    means = {}
-    for j in weighted:
-        for rank, idx in enumerate(colex_sets(4, 2 * j)):
-            means[idx] = weighted[j][rank] / count
-    return means
 
 
 def exact_sectors(cov, n):
@@ -265,10 +234,7 @@ def test_exhaustive_channel_identity(rng):
     # averaging over all 384 elements of B(4) with exact Born weights returns
     # every even expectation exactly, for pure, Fock, and mixed states
     for cov in spanning_states_n2(rng):
-        means = exhaustive_estimator_average(cov)
-        for idx, val in means.items():
-            truth = ff.wick_expectation(cov, ff.MajoranaMonomial.canonical(2, idx)).real
-            assert abs(val - truth) <= 1e-12
+        assert oracle.channel_identity_deviation(cov) <= 1e-12
 
 
 def test_sampled_estimates_converge(rng):
