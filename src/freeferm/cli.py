@@ -144,7 +144,11 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
         part.add_batch(perms, signs, bits)
         return part, ((perms, signs, bits) if writer is not None else None)
 
-    sizes = [min(CHUNK, samples - offset) for offset in range(0, samples, CHUNK)]
+    sizes = []
+    offset = 0
+    while offset < samples:
+        sizes.append(min(CHUNK, samples - offset))
+        offset += sizes[-1]
 
     curve_rows = []
     next_mark = 0
@@ -210,9 +214,10 @@ def cmd_compile(input_path, scheme, out, show_stats):
         start = perf_counter()
         program = compile_naive(q) if scheme == "naive" else compile_blocked(q)
         compile_s = perf_counter() - start
-        io.write_program(out, program)
-    except (ValueError, KeyError) as err:
+    except (ValueError, KeyError, OSError) as err:
         _fail("invalid-input", str(err))
+    try:
+        io.write_program(out, program)
     except OSError as err:
         _fail("invalid-argument", str(err))
     if show_stats:
@@ -253,11 +258,12 @@ def cmd_partition(input_path, method, report_path):
         report = io.partition_report(norms_report(poly, part), part, extra)
         report["method"] = method
         report["constant"] = poly.constant
+    except (ValueError, KeyError, OSError) as err:
+        _fail("invalid-input", str(err))
+    try:
         with open(report_path, "w") as fh:
             json.dump(report, fh)
             fh.write("\n")
-    except (ValueError, KeyError) as err:
-        _fail("invalid-input", str(err))
     except OSError as err:
         _fail("invalid-argument", str(err))
     click.echo(f"wrote {report_path} ({len(part.sets)} sets)")

@@ -185,16 +185,3 @@ def apply(op: DenseOperator, psi: DenseState) -> DenseState:
         raise ValueError("mode-count mismatch")
     return DenseState(psi.n_modes, op.matrix @ psi.vector)
 
-
-def covariance_of_state(psi: DenseState) -> np.ndarray:
-    """Antisymmetric matrix of pair correlators <psi| (-i/2)[g_u, g_v] |psi>."""
-    n = psi.n_modes
-    gammas = [build_majorana(n, u).matrix for u in range(2 * n)]
-    m = np.zeros((2 * n, 2 * n))
-    for u in range(2 * n):
-        bra = (gammas[u] @ psi.vector).conj()
-        for v in range(u + 1, 2 * n):
-            val = -1j * (bra @ (gammas[v] @ psi.vector))
-            m[u, v] = val.real
-            m[v, u] = -val.real
-    return m

@@ -1,9 +1,10 @@
 """Dense-oracle comparisons shared by ``freeferm verify`` and the test suite.
 
 Each ``*_deviation`` runs one fast path against the 2^n-dimensional picture of
-:mod:`freeferm.dense` and returns the largest absolute deviation; callers keep
-their own inputs and thresholds. Imported on demand only, as :func:`battery`
-imports ``scipy.stats``: about a second that every command would otherwise pay.
+:mod:`freeferm.dense` and returns the largest absolute deviation, NaN if any
+is NaN; callers keep their own inputs and thresholds. Imported on demand only,
+as :func:`battery` imports ``scipy.stats``: about a second that every command
+would otherwise pay.
 """
 from __future__ import annotations
 
@@ -26,6 +27,11 @@ def random_antisymmetric(n_modes: int, rng: np.random.Generator, scale: float = 
     return a - a.T
 
 
+def largest(deviations) -> float:
+    """Largest deviation, 0.0 for none and NaN if any is NaN (``max`` would skip a later NaN)."""
+    return float(np.max(np.fromiter(deviations, dtype=float), initial=0.0))
+
+
 def random_pure_state(n_modes: int, rng: np.random.Generator, scale: float):
     """Matched pair (covariance matrix, dense state) of a random pure Gaussian."""
     a = random_antisymmetric(n_modes, rng, scale)
@@ -46,8 +52,8 @@ def wick_deviation(cov: CovarianceMatrix, psi: np.ndarray, degrees) -> float:
     n = cov.n_modes
     monomials = (MajoranaMonomial.canonical(n, idx)
                  for deg in degrees for idx in combinations(range(2 * n), deg))
-    return max((abs(wick_expectation(cov, m) - dense.expectation(psi, dense.build_monomial(m)))
-                for m in monomials), default=0.0)
+    return largest(abs(wick_expectation(cov, m) - dense.expectation(psi, dense.build_monomial(m)))
+                   for m in monomials)
 
 
 def spectrum_deviation(a: np.ndarray) -> float:
@@ -73,32 +79,33 @@ def conjugation_deviation(program, q: np.ndarray) -> float:
     gammas = [dense.build_majorana(n, mu).matrix for mu in range(2 * n)]
     u = dense_unitary(program)
     rotated = (sum(q[mu, v] * gammas[v] for v in range(2 * n)) for mu in range(2 * n))
-    return max(float(np.max(np.abs(u.conj().T @ g @ u - r))) for g, r in zip(gammas, rotated))
+    return largest(np.max(np.abs(u.conj().T @ g @ u - r)) for g, r in zip(gammas, rotated))
 
 
 def channel_identity_deviation(cov: CovarianceMatrix) -> float:
     """Born-weighted mean of the single-shot estimator over all of B(4) against Wick, n = 2."""
+    elements = [(perm, signs) for perm in permutations(range(4))
+                for signs in product((1, -1), repeat=4)]
     weighted = {1: np.zeros(6), 2: np.zeros(1)}
-    for perm in permutations(range(4)):
-        for signs in product((1, -1), repeat=4):
-            mat = SignedPermutation(2, perm, signs).matrix()
-            rotated = CovarianceMatrix(mat @ cov.matrix @ mat.T, validate=False)
-            probs = measurement_distribution(rotated)
-            for z in range(4):
-                if probs[z] == 0.0:
-                    continue
-                single = ShadowAccumulator(2, 2)
-                single.add_batch(np.array([perm]), np.array([signs]),
-                                 np.array([[z >> 1, z & 1]], dtype=np.uint8))
-                for j in weighted:
-                    weighted[j] += probs[z] * single.sums[j]
-    worst = 0.0
+    for perm, signs in elements:
+        mat = SignedPermutation(2, perm, signs).matrix()
+        rotated = CovarianceMatrix(mat @ cov.matrix @ mat.T, validate=False)
+        probs = measurement_distribution(rotated)
+        for z in range(4):
+            if probs[z] == 0.0:
+                continue
+            single = ShadowAccumulator(2, 2)
+            single.add_batch(np.array([perm]), np.array([signs]),
+                             np.array([[z >> 1, z & 1]], dtype=np.uint8))
+            for j in weighted:
+                weighted[j] += probs[z] * single.sums[j]
+    deviations = []
     for j in weighted:
         sets = list(combinations(range(4), 2 * j))
         for idx, rank in zip(sets, _colex_rank(np.array(sets), 4).tolist()):
             truth = wick_expectation(cov, MajoranaMonomial.canonical(2, idx)).real
-            worst = max(worst, abs(weighted[j][rank] / 384 - truth))
-    return worst
+            deviations.append(abs(weighted[j][rank] / len(elements) - truth))
+    return largest(deviations)
 
 
 def battery(n: int, seed: int) -> list[tuple[str, bool, str]]:
@@ -112,24 +119,24 @@ def battery(n: int, seed: int) -> list[tuple[str, bool, str]]:
         idx = tuple(sorted(rng.choice(2 * n, size=deg, replace=False))) if deg else ()
         return MajoranaMonomial.canonical(n, idx)
 
-    products = max(product_deviation(random_monomial(), random_monomial()) for _ in range(40))
-    wick = max(wick_deviation(*random_pure_state(n, rng, 1.0), (2, 4)) for _ in range(10))
-    spectra = max(spectrum_deviation(random_antisymmetric(n, rng)) for _ in range(10))
-    born = max(born_deviation(*random_pure_state(n, rng, 1.0)) for _ in range(5))
-    round_trip = conjugation = 0.0
+    products = largest(product_deviation(random_monomial(), random_monomial()) for _ in range(40))
+    wick = largest(wick_deviation(*random_pure_state(n, rng, 1.0), (2, 4)) for _ in range(10))
+    spectra = largest(spectrum_deviation(random_antisymmetric(n, rng)) for _ in range(10))
+    born = largest(born_deviation(*random_pure_state(n, rng, 1.0)) for _ in range(5))
+    round_trips, conjugations = [], []
     for _ in range(5):
         q = ortho_group.rvs(2 * n, random_state=rng)
         for compiler in (compile_naive, compile_blocked):
             program = compiler(q)
-            round_trip = max(round_trip, round_trip_deviation(program, q))
-            conjugation = max(conjugation, conjugation_deviation(program, q))
+            round_trips.append(round_trip_deviation(program, q))
+            conjugations.append(conjugation_deviation(program, q))
     identity = channel_identity_deviation(vacuum_covariance(2))
     return [(name, worst <= threshold, f"max dev {worst:.2e}") for name, worst, threshold in [
         ("monomial products match dense algebra", products, 1e-12),
         ("Wick expectations match dense states", wick, 1e-9),
         ("free spectra match dense eigenvalues", spectra, 1e-9),
         ("sampling chain matches dense Born rule", born, 1e-9),
-        ("compiled programs recompose to Q", round_trip, 1e-9),
-        ("compiled circuits conjugate generators like Q", conjugation, 1e-8),
+        ("compiled programs recompose to Q", largest(round_trips), 1e-9),
+        ("compiled circuits conjugate generators like Q", largest(conjugations), 1e-8),
         ("exhaustive estimator identity (n=2 vacuum)", identity, 1e-12),
     ]]

@@ -50,7 +50,7 @@ def test_criterion_1_exact_channel_identity():
     for _ in range(3):
         states.append(random_mixed_covariance(2, rng))
 
-    worst = max(oracle.channel_identity_deviation(cov) for cov in states)
+    worst = oracle.largest(oracle.channel_identity_deviation(cov) for cov in states)
     ok = worst <= 1e-12
     assert report("1 exact shadow-channel identity (n=2)", ok, f"max dev {worst:.2e}")
 
@@ -159,8 +159,8 @@ def test_criterion_4_mitigation_beats_plateau():
 
 def test_criterion_5_oracle_equivalence():
     rng = np.random.default_rng(500)
-    worst = max(oracle.wick_deviation(*random_pure_state(n, rng), (2, 4, 6))
-                for n in (2, 3, 4, 5) for _ in range(50))
+    worst = oracle.largest(oracle.wick_deviation(*random_pure_state(n, rng), (2, 4, 6))
+                           for n in (2, 3, 4, 5) for _ in range(50))
     expectations_ok = worst <= 1e-9
 
     tv_worst = 0.0
@@ -186,8 +186,8 @@ def test_criterion_5_oracle_equivalence():
 
 def test_criterion_6_free_spectrum():
     rng = np.random.default_rng(600)
-    worst = max(oracle.spectrum_deviation(random_antisymmetric(n, rng))
-                for n in (2, 3, 4) for _ in range(100))
+    worst = oracle.largest(oracle.spectrum_deviation(random_antisymmetric(n, rng))
+                           for n in (2, 3, 4) for _ in range(100))
     ok = worst <= 1e-9
     assert report("6 free-fermion spectrum vs dense eigenvalues", ok,
                   f"max dev {worst:.2e}")
@@ -199,23 +199,25 @@ def test_criterion_6_free_spectrum():
 
 def test_criterion_7a_compiler_round_trip():
     rng = np.random.default_rng(700)
-    worst = 0.0
+    deviations = []
     for n in range(2, 9):
         for _ in range(100):
             q = ortho_group.rvs(2 * n, random_state=rng)
             for compiler in (compile_naive, compile_blocked):
-                worst = max(worst, oracle.round_trip_deviation(compiler(q), q))
+                deviations.append(oracle.round_trip_deviation(compiler(q), q))
+    worst = oracle.largest(deviations)
     ok = worst <= 1e-9
     assert report("7a compiler round trip (n=2..8)", ok, f"max dev {worst:.2e}")
 
 
 def test_criterion_7b_compiler_dense_conjugation():
     rng = np.random.default_rng(701)
-    worst = 0.0
+    deviations = []
     for n in (2, 3, 4, 5):
         q = ortho_group.rvs(2 * n, random_state=rng)
         for compiler in (compile_naive, compile_blocked):
-            worst = max(worst, oracle.conjugation_deviation(compiler(q), q))
+            deviations.append(oracle.conjugation_deviation(compiler(q), q))
+    worst = oracle.largest(deviations)
     ok = worst <= 1e-8
     assert report("7b compiled circuits conjugate like Q (n<=5)", ok,
                   f"max dev {worst:.2e}")

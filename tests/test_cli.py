@@ -319,23 +319,21 @@ def test_shadow_sim_rejects_existing_file_as_output(runner, tmp_path):
     assert out.read_text() == "keep"
 
 
-def test_compile_rejects_unwritable_output(runner, tmp_path):
-    src = tmp_path / "q.json"
-    io.write_matrix(src, "orthogonal", np.eye(4))
-    out = tmp_path / "missing" / "prog.json"
-    res = runner.invoke(main, ["compile", "--input", str(src), "--out", str(out)])
+@pytest.mark.parametrize("command", ["compile", "partition"])
+@pytest.mark.parametrize("bad_side, code", [("input", "invalid-input"),
+                                            ("output", "invalid-argument")])
+def test_unusable_path_is_one_error_line(runner, tmp_path, rng, command, bad_side, code):
+    src = tmp_path / "in.json"
+    if command == "compile":
+        io.write_matrix(src, "orthogonal", np.eye(4))
+    else:
+        io.write_integrals(src, ff.ElectronicIntegrals(2, *random_symmetric_integrals(2, rng)))
+    # a directory passes click's exists check and fails only when opened
+    read = tmp_path if bad_side == "input" else src
+    out = tmp_path / ("missing/out.json" if bad_side == "output" else "out.json")
+    flag = "--out" if command == "compile" else "--report"
+    res = runner.invoke(main, [command, "--input", str(read), flag, str(out)])
     assert res.exit_code == 2
     lines = res.output.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:invalid-argument: ")
-    assert not out.parent.exists()
-
-
-def test_partition_rejects_unwritable_report(runner, tmp_path, rng):
-    src = tmp_path / "ints.json"
-    io.write_integrals(src, ff.ElectronicIntegrals(2, *random_symmetric_integrals(2, rng)))
-    report_path = tmp_path / "missing" / "report.json"
-    res = runner.invoke(main, ["partition", "--input", str(src), "--report", str(report_path)])
-    assert res.exit_code == 2
-    lines = res.output.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:invalid-argument: ")
-    assert not report_path.parent.exists()
+    assert len(lines) == 1 and lines[0].startswith(f"error:{code}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["in.json"]

@@ -70,7 +70,8 @@ def test_evolve_single_givens_matches_dense():
     a[2, 1] = -theta
     cov = ff.evolve(ff.vacuum_covariance(n), expm(a))
     psi = dense.apply(dense.gaussian_unitary(n, a), dense.vacuum_state(n))
-    assert np.max(np.abs(cov.matrix - dense.covariance_of_state(psi))) < 1e-12
+    # degree-2 Wick expectations are the covariance entries
+    assert oracle.wick_deviation(cov, psi, (2,)) < 1e-12
 
 
 def test_evolve_rejects_non_orthogonal(rng):
