@@ -66,7 +66,6 @@ from .circuits import (
     compile_blocked,
     compile_naive,
     program_to_orthogonal,
-    stats_compare,
 )
 from .partition import (
     AnticommutingPartition,

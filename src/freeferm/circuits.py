@@ -36,7 +36,6 @@ from typing import Union
 
 import numpy as np
 
-from . import dense as _dense
 from .majorana import multiply_pauli_letters
 from .tolerances import DEFAULT, Tolerances
 
@@ -50,8 +49,6 @@ __all__ = [
     "compile_naive",
     "compile_blocked",
     "program_to_orthogonal",
-    "stats_compare",
-    "dense_unitary",
 ]
 
 
@@ -417,38 +414,3 @@ def program_to_orthogonal(p: GateProgram) -> np.ndarray:
         q *= _layer_action(p.gates[cut].letters)[:, None]
         _apply_rotations(q, p.gates[cut + 1:], p.n_qubits)
     return q
-
-
-def stats_compare(q: np.ndarray, tol: Tolerances = DEFAULT) -> dict:
-    """Compile both schemes and report counts, depths, and their ratios."""
-    naive = compile_naive(q, tol).stats()
-    blocked = compile_blocked(q, tol).stats()
-    return {
-        "naive": naive,
-        "blocked": blocked,
-        "depth_ratio": blocked.depth / max(naive.depth, 1),
-        "rotation_ratio": blocked.rotation_count / max(naive.rotation_count, 1),
-    }
-
-
-def dense_unitary(p: GateProgram, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Dense 2^n x 2^n unitary of a program (small n; validation only)."""
-    if p.n_qubits > _dense.MAX_DENSE_MODES:
-        raise ValueError("dense realization guarded to small qubit counts")
-    dim = 2 ** p.n_qubits
-    u = np.eye(dim, dtype=complex)
-    for gate in p.gates:
-        if isinstance(gate, ZRot):
-            letters = "I" * gate.qubit + "Z" + "I" * (p.n_qubits - gate.qubit - 1)
-            mat = _dense.pauli_matrix(letters)
-        elif isinstance(gate, XXRot):
-            letters = (
-                "I" * gate.qubit + "XX" + "I" * (p.n_qubits - gate.qubit - 2)
-            )
-            mat = _dense.pauli_matrix(letters)
-        else:
-            u = _dense.pauli_matrix(gate.letters) @ u
-            continue
-        g = np.cos(gate.theta / 2) * np.eye(dim) - 1j * np.sin(gate.theta / 2) * mat
-        u = g @ u
-    return u

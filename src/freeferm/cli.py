@@ -18,6 +18,7 @@ from time import perf_counter
 
 import click
 import numpy as np
+import numpy.random  # numpy loads it lazily; every shadow-sim chunk draws from Philox
 
 from . import io
 from .circuits import compile_blocked, compile_naive, program_to_orthogonal
@@ -132,7 +133,8 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
     cov = slater_covariance(SlaterDeterminant(isometry))
     n_sim = spec.n_modes
 
-    d2_exact = exact_two_rdm(one_rdm(slater))
+    # only the two-body error curve reads it, and it needs kmax >= 2
+    d2_exact = exact_two_rdm(one_rdm(slater)) if kmax >= 2 else None
     checkpoints = _checkpoints(samples)
     acc = ShadowAccumulator(n_sim, kmax)
     writer = io.SampleWriter(os.path.join(out, "samples.csv")) if save_samples else None

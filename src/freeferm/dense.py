@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import GateProgram, XXRot, ZRot
 from .majorana import MajoranaMonomial, _coerce_bits
 
 MAX_DENSE_MODES = 12
@@ -185,3 +186,20 @@ def apply(op: DenseOperator, psi: DenseState) -> DenseState:
         raise ValueError("mode-count mismatch")
     return DenseState(psi.n_modes, op.matrix @ psi.vector)
 
+
+def dense_unitary(p: GateProgram) -> np.ndarray:
+    """Dense 2^n x 2^n unitary of a gate program."""
+    _guard(p.n_qubits)
+    dim = 2 ** p.n_qubits
+    u = np.eye(dim, dtype=complex)
+    for gate in p.gates:
+        if isinstance(gate, ZRot):
+            mat = pauli_matrix("I" * gate.qubit + "Z" + "I" * (p.n_qubits - gate.qubit - 1))
+        elif isinstance(gate, XXRot):
+            mat = pauli_matrix("I" * gate.qubit + "XX" + "I" * (p.n_qubits - gate.qubit - 2))
+        else:
+            u = pauli_matrix(gate.letters) @ u
+            continue
+        g = np.cos(gate.theta / 2) * np.eye(dim) - 1j * np.sin(gate.theta / 2) * mat
+        u = g @ u
+    return u

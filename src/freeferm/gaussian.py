@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space, schur
 
 from .majorana import MajoranaMonomial
 from .tolerances import DEFAULT, Tolerances
@@ -166,6 +165,8 @@ def canonical_form(h: QuadraticHamiltonian, tol: Tolerances = DEFAULT) -> Canoni
     Uses the real Schur decomposition (which is block diagonal for normal
     antisymmetric matrices) followed by per-block sign and ordering cleanup.
     """
+    from scipy.linalg import schur  # imported here so that no CLI command but verify loads scipy
+
     a = h.a_matrix
     dim = a.shape[0]
     t, z = schur(a, output="real")
@@ -328,8 +329,11 @@ def _complete_isometry(v: np.ndarray) -> np.ndarray:
         return v
     if eta == 0:
         return np.eye(n, dtype=complex)
-    comp = null_space(v.conj().T)
-    return np.hstack([v, comp])
+    # the complement of scipy.linalg.null_space (same SVD driver and rank rule), from numpy
+    a = v.conj().T
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = np.sum(s > np.amax(s) * (np.finfo(s.dtype).eps * max(a.shape)), dtype=int)
+    return np.hstack([v, vh[rank:].T.conj()])
 
 
 def slater_covariance(s: SlaterDeterminant) -> CovarianceMatrix:

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import dense
-from .circuits import compile_blocked, compile_naive, dense_unitary, program_to_orthogonal
+from .circuits import compile_blocked, compile_naive, program_to_orthogonal
+from .dense import dense_unitary
 from .gaussian import (CovarianceMatrix, QuadraticHamiltonian, evolve, measurement_distribution,
                        spectrum, vacuum_covariance, wick_expectation)
 from .majorana import MajoranaMonomial, SignedPermutation, multiply

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gaussian import CovarianceMatrix, sample_bits
-from .majorana import MajoranaMonomial, _sort_rows_with_parity
+from .majorana import _sort_rows_with_parity
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "symmetry_spec",
     "mitigate",
     "two_rdm",
-    "ladder_product_expansion",
 ]
 
 
@@ -325,30 +324,6 @@ def mitigate(sectors: dict, spec: SymmetrySpec, tol: Tolerances = DEFAULT) -> di
         raise ValueError("symmetry adjustment is defined for the one- and two-body sectors")
     ratios = _symmetry_ratios(sectors, spec, tol)
     return {j: values / ratios[j] for j, values in sectors.items()}
-
-
-def ladder_product_expansion(n_modes: int, ops: list[tuple[int, bool]]) -> dict:
-    """Expand a product of ladder operators over canonical Majorana monomials.
-
-    ``ops`` lists (mode, dagger) factors left to right. Returns a map from
-    ascending index sets (possibly empty, for the identity component) to
-    complex coefficients against the canonical Hermitian monomials.
-    """
-    poly = {(): 1.0 + 0j}
-    for mode, dagger in ops:
-        even = MajoranaMonomial.canonical(n_modes, (2 * mode,))
-        odd = MajoranaMonomial.canonical(n_modes, (2 * mode + 1,))
-        factor = [(even, 0.5), (odd, -0.5j if dagger else 0.5j)]
-        new: dict = {}
-        for idx, coeff in poly.items():
-            left = MajoranaMonomial.canonical(n_modes, idx)
-            for mono, w in factor:
-                prod = left * mono
-                val = coeff * w * prod.phase_rel_canonical
-                key = prod.indices
-                new[key] = new.get(key, 0j) + val
-        poly = new
-    return poly
 
 
 class _RdmMap(NamedTuple):

@@ -126,6 +126,18 @@ def reference_compile_naive(q, tol=ff.DEFAULT):
     return _assemble(dim // 2, prims, tol)
 
 
+def stats_compare(q, tol=ff.DEFAULT):
+    """Compile both schemes and report counts, depths, and their ratios."""
+    naive = ff.compile_naive(q, tol).stats()
+    blocked = ff.compile_blocked(q, tol).stats()
+    return {
+        "naive": naive,
+        "blocked": blocked,
+        "depth_ratio": blocked.depth / max(naive.depth, 1),
+        "rotation_ratio": blocked.rotation_count / max(naive.rotation_count, 1),
+    }
+
+
 def reference_layer_action(letters):
     """Pauli-layer signs by one ``to_pauli`` clash count per axis."""
     n = len(letters)
@@ -151,6 +163,29 @@ def reference_program_to_orthogonal(program):
         q[axis] = c * upper - s * lower
         q[axis + 1] = s * upper + c * lower
     return q
+
+
+def ladder_product_expansion(n_modes, ops):
+    """Expand a product of ladder operators over canonical Majorana monomials.
+
+    ``ops`` lists (mode, dagger) factors left to right. Returns a map from
+    ascending index sets (possibly empty, for the identity component) to
+    complex coefficients against the canonical Hermitian monomials.
+    """
+    poly = {(): 1.0 + 0j}
+    for mode, dagger in ops:
+        even = MajoranaMonomial.canonical(n_modes, (2 * mode,))
+        odd = MajoranaMonomial.canonical(n_modes, (2 * mode + 1,))
+        factor = [(even, 0.5), (odd, -0.5j if dagger else 0.5j)]
+        new = {}
+        for idx, coeff in poly.items():
+            left = MajoranaMonomial.canonical(n_modes, idx)
+            for mono, w in factor:
+                prod = left * mono
+                key = prod.indices
+                new[key] = new.get(key, 0j) + coeff * w * prod.phase_rel_canonical
+        poly = new
+    return poly
 
 
 def random_symmetric_integrals(n, rng):

@@ -12,7 +12,7 @@ from scipy.stats import ortho_group
 
 import freeferm as ff
 from freeferm import dense, oracle
-from freeferm.circuits import compile_blocked, compile_naive, stats_compare
+from freeferm.circuits import compile_blocked, compile_naive
 from freeferm.gaussian import one_rdm, slater_covariance
 from freeferm.shadows import ShadowAccumulator, exact_two_rdm
 
@@ -24,6 +24,7 @@ from conftest import (
     random_slater,
     random_symmetric_integrals,
     sample_unrotated,
+    stats_compare,
 )
 
 

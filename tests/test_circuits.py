@@ -14,16 +14,16 @@ from freeferm.circuits import (
     ZRot,
     compile_blocked,
     compile_naive,
-    dense_unitary,
     program_to_orthogonal,
-    stats_compare,
 )
+from freeferm.dense import dense_unitary
 
 from conftest import (
     random_orthogonal,
     reference_compile_naive,
     reference_layer_action,
     reference_program_to_orthogonal,
+    stats_compare,
 )
 
 COMPILERS = [compile_naive, compile_blocked]

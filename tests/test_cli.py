@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import freeferm as ff
 from freeferm import cli, io, oracle
-from freeferm.circuits import dense_unitary
+from freeferm.dense import dense_unitary
 from freeferm.cli import main
 from freeferm.shadows import ShadowAccumulator
 
@@ -296,15 +296,38 @@ def test_verify_fails_when_a_fast_path_is_off(runner, monkeypatch, owner, name, 
         assert ("  FAIL  " if key in failing else "  PASS  ") in line, line
 
 
-def test_cli_import_leaves_oracle_and_scipy_stats_unloaded():
-    # verify imports both lazily; at start-up they would cost every command
-    # more than a second
-    code = ("import sys, freeferm.cli; "
-            "print(sorted({'freeferm.oracle', 'scipy.stats'} & set(sys.modules)))")
+def _loaded_after(code):
+    """Run ``code`` in a fresh interpreter; return the scipy and validation modules it loaded."""
+    code += ("\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+             " or m in ('freeferm.dense', 'freeferm.oracle')))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ff.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_oracle_and_scipy_stats_unloaded():
+    # only verify needs scipy and the dense oracle, and imports them itself;
+    # at start-up scipy.linalg alone costs every command about 0.2 s
+    assert _loaded_after("import freeferm.cli") == "[]"
+
+
+def test_commands_other_than_verify_run_without_scipy(tmp_path, rng):
+    io.write_matrix(tmp_path / "q.json", "orthogonal", random_orthogonal(8, rng))
+    io.write_integrals(tmp_path / "h.json",
+                       ff.ElectronicIntegrals(3, *random_symmetric_integrals(3, rng)))
+    calls = [
+        ["shadow-sim", "--modes", "4", "--eta", "2", "--samples", "200", "--kmax", "2",
+         "--noise", "bit_flip:0.1", "--seed", "1", "--out", str(tmp_path / "sim")],
+        ["compile", "--input", str(tmp_path / "q.json"), "--out", str(tmp_path / "p.json"),
+         "--stats"],
+        ["partition", "--input", str(tmp_path / "h.json"), "--report", str(tmp_path / "r.json")],
+    ]
+    code = "from freeferm.cli import main\n" + "".join(
+        f"main({args!r}, standalone_mode=False)\n" for args in calls)
+    assert _loaded_after(code) == "[]"
+    assert (tmp_path / "sim" / "error_curve.csv").read_text().count("\n") == 2
+    assert (tmp_path / "p.json").exists() and (tmp_path / "r.json").exists()
 
 
 def test_shadow_sim_rejects_existing_file_as_output(runner, tmp_path):

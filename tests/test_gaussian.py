@@ -347,6 +347,20 @@ def test_slater_covariance_matches_wick(rng):
         assert abs(got - (1 - 2 * d1[p, p].real)) < 1e-10
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_complete_isometry_equals_scipy_null_space(seed):
+    # the complement comes from numpy's SVD with scipy's rank rule; fixed-seed
+    # shadow-sim outputs stay as they were only while the two agree bit for bit
+    from scipy.linalg import null_space
+
+    rng = np.random.default_rng(seed)
+    for n in range(2, 25):
+        u = random_unitary(n, rng)
+        for eta in sorted({0, 1, n // 2, n - 1, n}):
+            v = ff.SlaterDeterminant(u[:, :eta]).isometry
+            assert np.array_equal(_complete_isometry(v), np.hstack([v, null_space(v.conj().T)]))
+
+
 # ----------------------------------------------------------------- sampling
 
 def test_sampling_deterministic_states(rng):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import freeferm as ff
 from freeferm import dense, oracle
-from freeferm.circuits import compile_naive, dense_unitary
+from freeferm.circuits import compile_naive
+from freeferm.dense import dense_unitary
 from freeferm.majorana import _merge_inversions, _sort_with_parity
 
 from conftest import random_monomial

@@ -13,18 +13,19 @@ from scipy.stats import chi2
 
 import freeferm as ff
 from freeferm import dense, oracle
-from freeferm.circuits import compile_naive, dense_unitary
+from freeferm.circuits import compile_naive
+from freeferm.dense import dense_unitary
 from freeferm.gaussian import measurement_distribution, one_rdm, slater_covariance
 from freeferm.shadows import (
     ShadowAccumulator,
     _frame,
     _two_rdm_map,
     exact_two_rdm,
-    ladder_product_expansion,
 )
 
 from conftest import (
     colex_sets,
+    ladder_product_expansion,
     random_mixed_covariance,
     random_pure_state,
     random_slater,
