@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 tools/bench_record.py --label pr11 [--seed 1] [--root DIR] [--out PATH]
+    python3 tools/bench_record.py --label baseline [--seed 1] [--root DIR] [--out PATH]
 
 For each workload of ``BENCHMARK.json`` this runs
 
