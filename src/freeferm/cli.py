@@ -76,13 +76,10 @@ def _random_slater(n: int, eta: int, seed: int) -> SlaterDeterminant:
 
 
 def _checkpoints(samples: int) -> list[int]:
-    points = []
-    t = CHUNK
-    while t < samples:
-        points.append(t)
-        t *= 10
-    points.append(samples)
-    return points
+    points = [CHUNK]  # CHUNK, 10 CHUNK, 100 CHUNK, ... below the total, then the total
+    while points[-1] < samples:
+        points.append(10 * points[-1])
+    return points[:-1] + [samples]
 
 
 @main.command("shadow-sim")
@@ -146,34 +143,23 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
         part.add_batch(perms, signs, bits)
         return part, ((perms, signs, bits) if writer is not None else None)
 
-    sizes = []
-    offset = 0
-    while offset < samples:
-        sizes.append(min(CHUNK, samples - offset))
-        offset += sizes[-1]
-
+    sizes = [min(CHUNK, samples - start) for start in range(0, samples, CHUNK)]
     curve_rows = []
-    next_mark = 0
 
     def flush_checkpoints():
-        nonlocal next_mark
-        if kmax < 2:
-            return  # the two-body error curve needs the degree-4 sector
-        while next_mark < len(checkpoints) and acc.count >= checkpoints[next_mark]:
-            target = checkpoints[next_mark]
-            if acc.count == target:
-                est = acc.sector_means()
-                d2_raw = two_rdm(est, modes)
-                err_raw = float(np.linalg.norm(d2_raw - d2_exact, 2))
-                try:
-                    d2_mit = two_rdm(mitigate({1: est[1], 2: est[2]}, spec), modes)
-                    err_mit = float(np.linalg.norm(d2_mit - d2_exact, 2))
-                except MitigationError as err:
-                    _fail("mitigation", str(err), exit_code=3)
-                curve_rows.append((target, err_raw, err_mit))
-                next_mark += 1
-            else:
-                break
+        # the error curve needs the degree-4 sector; every checkpoint is a whole number
+        # of chunks or the total, so the count lands on each one
+        if kmax < 2 or acc.count not in checkpoints:
+            return
+        est = acc.sector_means()
+        d2_raw = two_rdm(est, modes)
+        err_raw = float(np.linalg.norm(d2_raw - d2_exact, 2))
+        try:
+            d2_mit = two_rdm(mitigate({1: est[1], 2: est[2]}, spec), modes)
+            err_mit = float(np.linalg.norm(d2_mit - d2_exact, 2))
+        except MitigationError as err:
+            _fail("mitigation", str(err), exit_code=3)
+        curve_rows.append((acc.count, err_raw, err_mit))
 
     # chunks merge in index order; at most 2 * threads results are held at once
     chunks = iter(enumerate(sizes))
@@ -186,9 +172,8 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
                 window.append(pool.submit(run_chunk, *following))
             acc.merge(part)
             if writer is not None:
-                perms, signs, bits = payload
-                for row in range(perms.shape[0]):
-                    writer.write_raw(perms[row], signs[row], bits[row])
+                for perm, signs, bits in zip(*payload):
+                    writer.write_raw(perm, signs, bits)
             flush_checkpoints()
 
     if writer is not None:

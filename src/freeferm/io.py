@@ -6,16 +6,13 @@ every double survives a write/read cycle bit-exactly.
 from __future__ import annotations
 
 import csv
-import heapq
 import json
-from itertools import combinations
-from operator import itemgetter
 
 import numpy as np
 
 from .circuits import GateProgram, PauliLayer, XXRot, ZRot
 from .partition import AnticommutingPartition, ElectronicIntegrals
-from .shadows import _colex_rank
+from .shadows import _colex_sets
 
 MATRIX_KINDS = ("covariance", "quadratic_hamiltonian", "orthogonal")
 
@@ -143,13 +140,10 @@ def estimates_from_json(obj: dict) -> tuple[dict[int, np.ndarray], int, int]:
     n_modes, body = int(obj["n_modes"]), obj["estimates"]
     sectors = {}
     for degree in sorted({key.count(",") + 1 for key in body}):
-        sets = list(combinations(range(2 * n_modes), degree))
-        keys = [",".join(map(str, idx)) for idx in sets]
+        keys = [",".join(map(str, idx)) for idx in _colex_sets(2 * n_modes, degree).tolist()]
         if degree % 2 or any(key not in body for key in keys):
             raise ValueError(f"estimates do not cover the degree-{degree} sector")
-        rows = np.array(sets, dtype=np.int64).reshape(len(sets), degree)
-        sectors[degree // 2] = np.empty(len(sets))
-        sectors[degree // 2][_colex_rank(rows, 2 * n_modes)] = [body[key]["mean"] for key in keys]
+        sectors[degree // 2] = np.array([body[key]["mean"] for key in keys], dtype=float)
     if sum(map(len, sectors.values())) != len(body):
         raise ValueError("estimates hold keys that are not ascending index sets")
     return sectors, int(obj["count"]), n_modes
@@ -158,19 +152,23 @@ def estimates_from_json(obj: dict) -> tuple[dict[int, np.ndarray], int, int]:
 def write_estimates(path, sectors: dict, count: int, n_modes: int) -> None:
     """Write sector arrays {j: means in colex order} as ``estimates.json``.
 
-    Keys are ascending index sets in lexicographic tuple order: each degree's
-    sets come from ``combinations`` in that order, and the degrees are merged.
+    The bytes are ``json.dump``'s with the keys in lexicographic tuple order,
+    written as one join; padded with -1, a set sorts before its extensions.
     """
-    streams = []
-    for j, means in sectors.items():
-        sets = list(combinations(range(2 * n_modes), 2 * j))
-        rows = np.array(sets, dtype=np.int64).reshape(len(sets), 2 * j)
-        streams.append(zip(sets, means[_colex_rank(rows, 2 * n_modes)].tolist()))
-    body = {",".join(map(str, idx)): {"mean": val, "count": count}
-            for idx, val in heapq.merge(*streams, key=itemgetter(0))}
+    universe, width = 2 * n_modes, 2 * max(sectors)
+    rows = np.concatenate([np.pad(_colex_sets(universe, 2 * j), ((0, 0), (0, width - 2 * j)),
+                                  constant_values=-1) for j in sectors])
+    means = np.concatenate(list(sectors.values()))
+    # per set: '"i', ',j' per further index ('' for padding), '": {"mean": ', mean, count
+    cells = np.empty((len(rows), width + 3), dtype=object)
+    cells[:, 0] = np.array([f'"{i}' for i in range(universe)], dtype=object)[rows[:, 0]]
+    cells[:, 1:width] = np.array([f",{i}" for i in range(universe)] + [""], dtype=object)[rows[:, 1:]]
+    cells[:, width] = '": {"mean": '
+    cells[:, width + 1] = json.dumps(means.tolist())[1:-1].split(", ")  # NaN, Infinity as json
+    cells[:, width + 2] = f', "count": {count:d}}}, '
+    body = "".join(cells[np.lexsort(rows.T[::-1])].ravel().tolist())[:-2]
     with open(path, "w") as fh:
-        json.dump({"n_modes": n_modes, "count": count, "estimates": body}, fh)
-        fh.write("\n")
+        fh.write(f'{{"n_modes": {n_modes:d}, "count": {count:d}, "estimates": {{{body}}}}}\n')
 
 
 def partition_report(poly_report: dict, partition: AnticommutingPartition,

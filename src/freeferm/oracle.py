@@ -19,7 +19,7 @@ from .dense import dense_unitary
 from .gaussian import (CovarianceMatrix, QuadraticHamiltonian, evolve, measurement_distribution,
                        spectrum, vacuum_covariance, wick_expectation)
 from .majorana import MajoranaMonomial, SignedPermutation, multiply
-from .shadows import ShadowAccumulator, _colex_rank
+from .shadows import ShadowAccumulator, _colex_sets
 
 
 def random_antisymmetric(n_modes: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -98,12 +98,11 @@ def channel_identity_deviation(cov: CovarianceMatrix) -> float:
             single = ShadowAccumulator(2, 2)
             single.add_batch(np.array([perm]), np.array([signs]),
                              np.array([[z >> 1, z & 1]], dtype=np.uint8))
-            for j in weighted:
-                weighted[j] += probs[z] * single.sums[j]
+            for j, (_, _, lam_inv) in enumerate(single.frame, start=1):
+                weighted[j] += probs[z] * (lam_inv * single.signed[j])
     deviations = []
     for j in weighted:
-        sets = list(combinations(range(4), 2 * j))
-        for idx, rank in zip(sets, _colex_rank(np.array(sets), 4).tolist()):
+        for rank, idx in enumerate(_colex_sets(4, 2 * j).tolist()):
             truth = wick_expectation(cov, MajoranaMonomial.canonical(2, idx)).real
             deviations.append(abs(weighted[j][rank] / len(elements) - truth))
     return largest(deviations)

@@ -8,11 +8,14 @@ estimates of every even Majorana-monomial expectation; the channel is
 diagonal with eigenvalues binom(n, k) / binom(2n, 2k) on the degree-2k
 sector.
 
-Postprocessing iterates over diagonal index sets and pushes them through the
-permutation, so a size-T sample yields all degree <= 2k estimates in
-O(n^k T) time. Symmetry adjustment divides each degree sector by the
-measured-to-ideal ratio of the corresponding particle-number moment,
-cancelling noise that acts uniformly inside the sector.
+A snapshot's estimate is +-1/lambda_j on the images of the diagonal sets
+(2p, 2p+1, 2q, 2q+1, ...) under its permutation and zero elsewhere, so each
+sector is an integer tally of those signs, filled by array operations over a
+whole batch: a size-T sample yields all degree <= 2k estimates in O(n^k T)
+time, and each mean is one rounding of tally / (lambda_j T). Symmetry
+adjustment divides each degree sector by the measured-to-ideal ratio of the
+corresponding particle-number moment, cancelling noise that acts uniformly
+inside the sector.
 
 Estimates exist in one form, sector arrays {j: degree-2j means}, each indexed
 by the colex rank of its ascending index sets (``_colex_rank``).
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb, ceil, log, sqrt
 from typing import NamedTuple
 
@@ -77,15 +80,10 @@ class NoiseModel:
     def apply_batch(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "none" or self.p == 0.0:
             return bits
-        if self.kind == "bit_flip":
-            flips = rng.random(bits.shape) < self.p
-            return bits ^ flips.astype(np.uint8)
-        if self.kind == "depolarizing":
-            flips = rng.random(bits.shape) < 0.5 * self.p
-            return bits ^ flips.astype(np.uint8)
-        # amplitude damping: occupied bits decay to 0
-        decay = rng.random(bits.shape) < self.p
-        return np.where(decay, np.uint8(0), bits)
+        if self.kind == "amplitude_damping":  # occupied bits decay to 0
+            return np.where(rng.random(bits.shape) < self.p, np.uint8(0), bits)
+        flips = rng.random(bits.shape) < (0.5 * self.p if self.kind == "depolarizing" else self.p)
+        return bits ^ flips.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -163,70 +161,81 @@ def sample_snapshots(cov: CovarianceMatrix, size: int, rng: np.random.Generator,
 
 @lru_cache(maxsize=16)
 def _frame(n_modes: int, k_max: int) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
-    """Per degree 2j <= 2 k_max: the diagonal sets (2p, 2p+1, ...), their modes, 1/lambda_j.
+    """Per degree 2j <= 2 k_max: (prefix, last, 1/lambda_j) over the j-mode sets in colex order.
 
-    Cached per (n_modes, k_max) with read-only arrays, so pool threads share them.
+    Each set is the set of rank ``prefix`` one degree down plus its largest
+    mode ``last``. Cached per (n_modes, k_max) with read-only arrays, so pool
+    threads share them.
     """
     if not 1 <= k_max <= n_modes:
         raise ValueError("k_max must lie in [1, n_modes]")
     frame = []
     for j in range(1, k_max + 1):
-        pairs = list(combinations(range(n_modes), j))
-        qubits = np.array(pairs, dtype=np.int64)
-        tau = np.array([[idx for p in pair for idx in (2 * p, 2 * p + 1)] for pair in pairs],
-                       dtype=np.int64)
-        qubits.flags.writeable = tau.flags.writeable = False
-        frame.append((tau, qubits, float(1 / channel_eigenvalue(n_modes, j))))
+        modes = _colex_sets(n_modes, j)
+        prefix = np.zeros(len(modes), dtype=np.int64) + _colex_rank(modes[:, :-1], n_modes)
+        last = modes[:, -1].copy()
+        prefix.flags.writeable = last.flags.writeable = False
+        frame.append((prefix, last, float(1 / channel_eigenvalue(n_modes, j))))
     return tuple(frame)
 
 
 class ShadowAccumulator:
-    """Running sums of single-shot estimates for every even set of degree <= 2 k_max.
+    """Integer tallies of single-shot signs for every even set of degree <= 2 k_max.
 
+    ``signed[j][r]`` counts the snapshots that put +1/lambda_j on the
+    degree-2j set of colex rank r, less those that put -1/lambda_j there.
     Memory is preallocated for the full sectors; sets never hit by a sample
-    implicitly hold zero. Accumulators merge by entrywise addition, so
-    parallel workers can each fill one and combine results deterministically.
+    hold zero. Accumulators merge by integer addition, so parallel workers
+    can each fill one and combine results exactly, in any order.
     """
 
     def __init__(self, n_modes: int, k_max: int):
         self.frame = _frame(n_modes, k_max)
         self.n_modes = n_modes
         self.k_max = k_max
-        self.sums = {
-            j: np.zeros(comb(2 * n_modes, 2 * j)) for j in range(1, k_max + 1)
-        }
+        self.signed = {j: np.zeros(comb(2 * n_modes, 2 * j), dtype=np.int64)
+                       for j in range(1, k_max + 1)}
         self.count = 0
 
     def add_batch(self, perms: np.ndarray, signs: np.ndarray, bits: np.ndarray):
-        """Vectorized accumulation of a batch of snapshots."""
-        size = perms.shape[0]
+        """Tally a batch of snapshots into every sector with array operations."""
         if perms.shape[1] != 2 * self.n_modes or bits.shape[1] != self.n_modes:
             raise ValueError("batch shape mismatch")
-        zsign = 1.0 - 2.0 * bits.astype(float)
-        for j, (tau, qubits, lam_inv) in enumerate(self.frame, start=1):
-            for t in range(tau.shape[0]):
-                image = perms[:, tau[t]]
-                mu, parity = _sort_rows_with_parity(image)
-                sign = signs[:, tau[t]].prod(axis=1).astype(float)
-                sign *= 1.0 - 2.0 * parity
-                zval = zsign[:, qubits[t]].prod(axis=1)
-                ranks = _colex_rank(mu, 2 * self.n_modes)
-                np.add.at(self.sums[j], ranks, lam_inv * sign * zval)
-        self.count += size
+        a, b = perms[:, 0::2].astype(np.int16), perms[:, 1::2].astype(np.int16)
+        # mode p's pair (2p, 2p+1) maps to the sorted pair (lo, hi); the shot is negative
+        # iff the images were swapped, XOR either sign is negative, XOR bit p is set
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        odd = (a > b) ^ (signs[:, 0::2] < 0) ^ (signs[:, 1::2] < 0) ^ (bits != 0)
+        # sorted images, one column per position, grown from the empty set a pair at a time
+        rows, negative = [], np.zeros((len(perms), 1), dtype=bool)
+        for j, (prefix, last, _) in enumerate(self.frame, start=1):
+            rows = [row[:, prefix] for row in rows] + [lo[:, last], hi[:, last]]
+            negative = negative[:, prefix] ^ odd[:, last]
+            # compare-exchange lo down to position 0, then hi down to 1; a swap flips the sign
+            for t in [*range(2 * j - 2, 0, -1), *range(2 * j - 1, 1, -1)]:
+                x, y = rows[t - 1], rows[t]
+                negative ^= x > y
+                rows[t - 1], rows[t] = np.minimum(x, y), np.maximum(x, y)
+            table = _binomial_table(2 * self.n_modes, 2 * j)
+            ranks = sum(table[row, t] for t, row in enumerate(rows)).ravel()
+            hits = np.bincount(2 * ranks + negative.ravel(), minlength=2 * len(self.signed[j]))
+            self.signed[j] += hits[0::2] - hits[1::2]
+        self.count += len(perms)
 
     def merge(self, other: "ShadowAccumulator"):
-        """Entrywise sum merge; associative and commutative."""
+        """Entrywise integer sum merge; associative and commutative."""
         if (other.n_modes, other.k_max) != (self.n_modes, self.k_max):
             raise ValueError("accumulator shape mismatch")
-        for j in self.sums:
-            self.sums[j] += other.sums[j]
+        for j in self.signed:
+            self.signed[j] += other.signed[j]
         self.count += other.count
 
     def sector_means(self) -> dict[int, np.ndarray]:
-        """Empirical means per degree-2j sector, indexed by colex rank."""
+        """Empirical means lam_inv * signed / count per degree-2j sector, indexed by colex rank."""
         if self.count < 1:
             raise ValueError("empty accumulator")
-        return {j: sums / self.count for j, sums in self.sums.items()}
+        return {j: lam_inv * self.signed[j] / self.count
+                for j, (_, _, lam_inv) in enumerate(self.frame, start=1)}
 
 
 def sample_bound(epsilon: float, delta: float, n_observables: int,
@@ -296,13 +305,21 @@ def _colex_rank(sets: np.ndarray, universe: int) -> np.ndarray:
     return sum(table[sets[:, t], t] for t in range(sets.shape[1]))
 
 
+def _colex_sets(universe: int, size: int) -> np.ndarray:
+    """Every ascending ``size``-set below ``universe`` (size >= 1), one row each, in colex order."""
+    # lexicographic order over the descending universe, reversed, is colex order
+    sets = chain.from_iterable(combinations(range(universe - 1, -1, -1), size))
+    return np.fromiter(sets, dtype=np.int64).reshape(-1, size)[::-1, ::-1]
+
+
 def _symmetry_ratios(sectors: dict, spec: SymmetrySpec, tol: Tolerances) -> dict[int, float]:
-    # (2p, 2p+1) and (2p, 2p+1, 2q, 2q+1), p < q, in that order
-    (one, _, _), (two, _, _) = _frame(spec.n_modes, 2)
-    universe = 2 * spec.n_modes
+    # the diagonal sets (2p, 2p+1) and (2p, 2p+1, 2q, 2q+1), p < q, in that order
+    one, two = (np.array([[i for m in modes for i in (2 * m, 2 * m + 1)]
+                          for modes in combinations(range(spec.n_modes), j)]).reshape(-1, 2 * j)
+                for j in (1, 2))
     # builtin sum keeps the left-to-right order of the scalar formula
-    s2_hat = -0.5 * sum(sectors[1][_colex_rank(one, universe)].tolist())
-    s4_hat = 0.5 * sum(sectors[2][_colex_rank(two, universe)].tolist())
+    s2_hat = -0.5 * sum(sectors[1][_colex_rank(one, 2 * spec.n_modes)].tolist())
+    s4_hat = 0.5 * sum(sectors[2][_colex_rank(two, 2 * spec.n_modes)].tolist())
     ratios = {1: s2_hat / spec.s2, 2: s4_hat / spec.s4}
     for k, r in ratios.items():
         if abs(r) < tol.mitigation_guard:

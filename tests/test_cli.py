@@ -264,8 +264,8 @@ def _phase_flipped(a, b):
 
 def _biased_add_batch(self, *batch, add_batch=ShadowAccumulator.add_batch):
     add_batch(self, *batch)
-    for sums in self.sums.values():
-        sums += 1e-6
+    for signed in self.signed.values():
+        signed += 1
 
 
 VERIFY_LINES = ("monomial products", "Wick", "free spectra", "Born", "recompose",

@@ -89,14 +89,20 @@ def test_write_estimates_matches_sorted_dump(tmp_path, rng):
     # n = 4 with k = 3: degrees 2, 4 and 6 interleave in tuple order
     n, count = 4, 77
     sectors = {j: rng.normal(size=comb(2 * n, 2 * j)) for j in (1, 2, 3)}
+    # json spells these NaN, Infinity and -Infinity, not as repr does
+    sectors[2][[5, 17, 40]] = np.nan, np.inf, -np.inf
     keyed = {idx: float(sectors[j][r])
              for j in sectors for r, idx in enumerate(colex_sets(2 * n, 2 * j))}
     body = {",".join(map(str, idx)): {"mean": keyed[idx], "count": count}
             for idx in sorted(keyed)}
-    expected = json.dumps({"n_modes": n, "count": count, "estimates": body}) + "\n"
+    expected = tmp_path / "dump.json"
+    with open(expected, "w") as fh:
+        json.dump({"n_modes": n, "count": count, "estimates": body}, fh)
+        fh.write("\n")
     path = tmp_path / "est.json"
     io.write_estimates(path, sectors, count, n)
-    assert path.read_bytes() == expected.encode()
+    assert path.read_bytes() == expected.read_bytes()
+    assert b"NaN" in path.read_bytes() and b"-Infinity" in path.read_bytes()
 
 
 def test_estimates_from_json_rejects_missing_set(tmp_path, rng):

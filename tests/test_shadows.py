@@ -169,7 +169,7 @@ def test_estimates_empty_raises():
 
 
 def test_single_sample_paths_agree(rng):
-    # one-snapshot batches add up to the same sums as one batch of all of them
+    # one-snapshot batches add up to the same tallies as one batch of all of them
     n = 3
     perms, signs, bits = ff.sample_snapshots(ff.vacuum_covariance(n), 50, rng)
     whole = ff.ShadowAccumulator(n, 2)
@@ -178,8 +178,8 @@ def test_single_sample_paths_agree(rng):
     for row in range(50):
         single.add_batch(perms[row:row + 1], signs[row:row + 1], bits[row:row + 1])
     assert single.count == whole.count == 50
-    for j in whole.sums:
-        assert np.max(np.abs(single.sums[j] - whole.sums[j])) < 1e-12
+    for j in whole.signed:
+        assert np.array_equal(single.signed[j], whole.signed[j])
 
 
 def test_merge_matches_sequential(rng):
@@ -194,8 +194,8 @@ def test_merge_matches_sequential(rng):
     second.add_batch(perms[25:], signs[25:], bits[25:])
     first.merge(second)
     assert first.count == whole.count
-    for j in whole.sums:
-        assert np.max(np.abs(first.sums[j] - whole.sums[j])) < 1e-12
+    for j in whole.signed:
+        assert np.array_equal(first.signed[j], whole.signed[j])
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -215,18 +215,16 @@ def test_single_shot_bounded(seed):
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_degree_preservation(seed):
-    # one sample populates exactly C(n, j) sets in each degree sector
+    # one sample puts +-1 on exactly C(n, j) sets in each degree sector
     n = 4
     rng = np.random.default_rng(seed)
     perms, signs, _ = ff.sample_snapshots(ff.vacuum_covariance(n), 1, rng)
     bits = rng.integers(0, 2, size=(1, n)).astype(np.uint8)
     acc = ff.ShadowAccumulator(n, 2)
     acc.add_batch(perms, signs, bits)
-    from math import comb
-
     for j in (1, 2):
-        nonzero = np.count_nonzero(acc.sums[j])
-        assert nonzero == comb(n, j)
+        hits = np.bincount(np.abs(acc.signed[j]))
+        assert np.array_equal(hits, [comb(2 * n, 2 * j) - comb(n, j), comb(n, j)])
 
 
 # ------------------------------------------------------- the channel identity
@@ -490,27 +488,31 @@ def test_two_rdm_rejects_short_sectors(rng):
         ff.two_rdm(sectors, 4)
 
 
-def test_sector_means_match_estimates(rng):
-    # add_batch against a per-snapshot, per-set reference keyed by index set
-    n, size = 4, 200
+@pytest.mark.parametrize("n, k_max", [(4, 2), (5, 3), (10, 2)])
+def test_sector_means_match_estimates(rng, n, k_max):
+    # add_batch against a per-snapshot, per-set reference keyed by index set;
+    # (5, 3) reaches degree 6 and (10, 2) a non-integer 1/lambda_2 = 4845/45
+    size = 200
     perms, signs, _ = ff.sample_snapshots(ff.vacuum_covariance(n), size, rng)
     bits = rng.integers(0, 2, size=(size, n)).astype(np.uint8)
-    acc = ShadowAccumulator(n, 2)
+    acc = ShadowAccumulator(n, k_max)
     acc.add_batch(perms, signs, bits)
     for j, means in acc.sector_means().items():
         lam_inv = float(1 / ff.channel_eigenvalue(n, j))
-        keyed = dict.fromkeys(combinations(range(2 * n), 2 * j), 0.0)
+        keyed = dict.fromkeys(combinations(range(2 * n), 2 * j), 0)
         for perm, sign, z in zip(perms, signs, bits):
             for modes in combinations(range(n), j):
                 tau = [i for p in modes for i in (2 * p, 2 * p + 1)]
                 image = [int(perm[i]) for i in tau]
                 inversions = sum(a > b for a, b in combinations(image, 2))
-                value = (-1) ** inversions * np.prod(sign[tau])
-                value *= np.prod(1 - 2 * z[list(modes)].astype(int))
-                keyed[tuple(sorted(image))] += lam_inv * value
+                value = (-1) ** inversions * int(np.prod(sign[tau]))
+                value *= int(np.prod(1 - 2 * z[list(modes)].astype(int)))
+                keyed[tuple(sorted(image))] += value
+        tally = [keyed[idx] for idx in colex_sets(2 * n, 2 * j)]
+        assert np.array_equal(acc.signed[j], tally)
         assert len(means) == len(keyed)
-        for r, idx in enumerate(colex_sets(2 * n, 2 * j)):
-            assert means[r] == pytest.approx(keyed[idx] / size, abs=1e-12)
+        for r, value in enumerate(tally):
+            assert means[r] == pytest.approx(lam_inv * value / size, abs=1e-12)
 
 
 def test_mitigate_array_guards():
@@ -542,13 +544,14 @@ def test_frame_is_shared_read_only(rng):
         sys.setswitchinterval(interval)
     first = results[0]
     for acc in results:
-        assert all(np.array_equal(acc.sums[j], first.sums[j]) for j in first.sums)
-        for (tau, qubits, lam_inv), (tau0, qubits0, lam0) in zip(acc.frame, first.frame):
-            assert np.array_equal(tau, tau0) and np.array_equal(qubits, qubits0)
+        assert all(np.array_equal(acc.signed[j], first.signed[j]) for j in first.signed)
+        for (prefix, last, lam_inv), (prefix0, last0, lam0) in zip(acc.frame, first.frame):
+            assert np.array_equal(prefix, prefix0) and np.array_equal(last, last0)
             assert lam_inv == lam0
-    tau, qubits, _ = _frame(n, k)[1]
-    assert tau[0].tolist() == [0, 1, 2, 3] and qubits[0].tolist() == [0, 1]
+    # the mode sets {0, 1}, {0, 2}, {1, 2}, {0, 3} grow from {0}, {0}, {1}, {0}
+    prefix, last, _ = _frame(n, k)[1]
+    assert prefix[:4].tolist() == [0, 0, 1, 0] and last[:4].tolist() == [1, 2, 2, 3]
     with pytest.raises(ValueError):
-        tau[0, 0] = 1
+        prefix[0] = 1
     with pytest.raises(ValueError):
-        qubits[0, 0] = 1
+        last[0] = 1

@@ -11,11 +11,14 @@ For each workload of ``BENCHMARK.json`` this runs
 in the checkout named by ``--root`` (default: the current directory), reads
 the run record ``.perfbench_out/results/<w>-seed<seed>-trace0.json`` and keeps
 its end-to-end medians, its operation and check counts and its metadata (git
-sha, source hash, CPU, library versions, rounds). ``run_seconds`` comes from
-that checkout's ``BENCHMARK.json``, so two checkouts are always measured for
-the same time. The result goes to ``--out``, by default ``BENCH_<label>.json``
-at the root of that checkout. Workloads run one after another, one process at
-a time, as perfbench requires.
+sha, source hash, CPU, library versions, rounds). ``src_dirty`` records
+whether ``git status --porcelain -- src`` listed anything when the workload
+ran, so a run of uncommitted source is not taken for its ``git_sha``.
+``run_seconds`` comes from that checkout's ``BENCHMARK.json``, so two
+checkouts are always measured for the same time. The result goes to
+``--out``, by default ``BENCH_<label>.json`` at the root of that checkout.
+Workloads run one after another, one process at a time, as perfbench
+requires.
 """
 from __future__ import annotations
 
@@ -26,7 +29,14 @@ import subprocess
 import sys
 
 
+def src_dirty(root: str) -> bool:
+    proc = subprocess.run(["git", "-C", root, "status", "--porcelain", "--", "src"],
+                          capture_output=True, text=True, check=True)
+    return bool(proc.stdout.strip())
+
+
 def record_workload(root: str, workload: str, seed: int, seconds: float) -> dict:
+    dirty = src_dirty(root)
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -43,6 +53,7 @@ def record_workload(root: str, workload: str, seed: int, seconds: float) -> dict
         "failed": result["failed"],
         "failed_checks": run["failed_checks"],
         "metadata": run["metadata"],
+        "src_dirty": dirty,
     }
 
 
