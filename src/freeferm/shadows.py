@@ -172,7 +172,7 @@ def _frame(n_modes: int, k_max: int) -> tuple[tuple[np.ndarray, np.ndarray, floa
     frame = []
     for j in range(1, k_max + 1):
         modes = _colex_sets(n_modes, j)
-        prefix = np.zeros(len(modes), dtype=np.int64) + _colex_rank(modes[:, :-1], n_modes)
+        prefix = np.zeros(len(modes), dtype=np.int64) + _colex_rank(modes[:, :-1].T, n_modes)
         last = modes[:, -1].copy()
         prefix.flags.writeable = last.flags.writeable = False
         frame.append((prefix, last, float(1 / channel_eigenvalue(n_modes, j))))
@@ -216,8 +216,7 @@ class ShadowAccumulator:
                 x, y = rows[t - 1], rows[t]
                 negative ^= x > y
                 rows[t - 1], rows[t] = np.minimum(x, y), np.maximum(x, y)
-            table = _binomial_table(2 * self.n_modes, 2 * j)
-            ranks = sum(table[row, t] for t, row in enumerate(rows)).ravel()
+            ranks = _colex_rank(rows, 2 * self.n_modes).ravel()
             hits = np.bincount(2 * ranks + negative.ravel(), minlength=2 * len(self.signed[j]))
             self.signed[j] += hits[0::2] - hits[1::2]
         self.count += len(perms)
@@ -294,15 +293,16 @@ def _binomial_table(universe: int, width: int) -> np.ndarray:
     return table
 
 
-def _colex_rank(sets: np.ndarray, universe: int) -> np.ndarray:
-    """Colex ranks sum_t C(sets[:, t], t + 1) of ascending index rows below ``universe``.
+def _colex_rank(columns, universe: int) -> np.ndarray:
+    """Colex ranks sum_t C(columns[t], t + 1) of ascending index sets below ``universe``.
 
-    ``universe`` only sizes the cached binomial table: a rank does not depend
-    on it, so the sector over the first 2n indices is a prefix of the same
-    sector over 2n + 2. Every sector array is indexed by this rank.
+    ``columns[t]`` holds each set's (t+1)-th smallest index. ``universe`` only
+    sizes the cached binomial table: a rank does not depend on it, so the
+    sector over the first 2n indices is a prefix of the same sector over
+    2n + 2. Every sector array is indexed by this rank.
     """
-    table = _binomial_table(universe, sets.shape[1])
-    return sum(table[sets[:, t], t] for t in range(sets.shape[1]))
+    table = _binomial_table(universe, len(columns))
+    return sum(table[column, t] for t, column in enumerate(columns))
 
 
 def _colex_sets(universe: int, size: int) -> np.ndarray:
@@ -318,8 +318,8 @@ def _symmetry_ratios(sectors: dict, spec: SymmetrySpec, tol: Tolerances) -> dict
                           for modes in combinations(range(spec.n_modes), j)]).reshape(-1, 2 * j)
                 for j in (1, 2))
     # builtin sum keeps the left-to-right order of the scalar formula
-    s2_hat = -0.5 * sum(sectors[1][_colex_rank(one, 2 * spec.n_modes)].tolist())
-    s4_hat = 0.5 * sum(sectors[2][_colex_rank(two, 2 * spec.n_modes)].tolist())
+    s2_hat = -0.5 * sum(sectors[1][_colex_rank(one.T, 2 * spec.n_modes)].tolist())
+    s4_hat = 0.5 * sum(sectors[2][_colex_rank(two.T, 2 * spec.n_modes)].tolist())
     ratios = {1: s2_hat / spec.s2, 2: s4_hat / spec.s4}
     for k, r in ratios.items():
         if abs(r) < tol.mitigation_guard:
@@ -380,8 +380,8 @@ def _ladder_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         phase += degree * (degree - 1) // 2
         col = np.full(len(words), -1, dtype=np.int64)
         two, four = degree == 2, degree == 4
-        col[two] = _colex_rank(words[two][keep[two]].reshape(-1, 2), 2 * n)
-        col[four] = comb(2 * n, 2) + _colex_rank(words[four], 2 * n)
+        col[two] = _colex_rank(words[two][keep[two]].reshape(-1, 2).T, 2 * n)
+        col[four] = comb(2 * n, 2) + _colex_rank(words[four].T, 2 * n)
         entry.append(np.arange(len(words)))
         column.append(col)
         phases.append(phase)
