@@ -202,8 +202,8 @@ class ShadowAccumulator:
         if perms.shape[1] != 2 * self.n_modes or bits.shape[1] != self.n_modes:
             raise ValueError("batch shape mismatch")
         a, b = perms[:, 0::2].astype(np.int16), perms[:, 1::2].astype(np.int16)
-        # mode p's pair (2p, 2p+1) maps to the sorted pair (lo, hi); the shot is negative
-        # iff the images were swapped, XOR either sign is negative, XOR bit p is set
+        # mode p's pair (2p, 2p+1) maps to the sorted pair (lo, hi), int16 to cut the memory
+        # traffic; the shot is negative iff the images were swapped, XOR a sign, XOR bit p
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         odd = (a > b) ^ (signs[:, 0::2] < 0) ^ (signs[:, 1::2] < 0) ^ (bits != 0)
         # sorted images, one column per position, grown from the empty set a pair at a time
@@ -217,8 +217,8 @@ class ShadowAccumulator:
                 negative ^= x > y
                 rows[t - 1], rows[t] = np.minimum(x, y), np.maximum(x, y)
             ranks = _colex_rank(rows, 2 * self.n_modes).ravel()
-            hits = np.bincount(2 * ranks + negative.ravel(), minlength=2 * len(self.signed[j]))
-            self.signed[j] += hits[0::2] - hits[1::2]
+            counts = np.bincount(2 * ranks + negative.ravel(), minlength=2 * len(self.signed[j]))
+            self.signed[j] += counts[0::2] - counts[1::2]
         self.count += len(perms)
 
     def merge(self, other: "ShadowAccumulator"):
