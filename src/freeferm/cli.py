@@ -172,8 +172,7 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
                 window.append(pool.submit(run_chunk, *following))
             acc.merge(part)
             if writer is not None:
-                for perm, signs, bits in zip(*payload):
-                    writer.write_raw(perm, signs, bits)
+                writer.write_batch(*payload)
             flush_checkpoints()
 
     if writer is not None:

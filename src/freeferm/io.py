@@ -5,7 +5,6 @@ every double survives a write/read cycle bit-exactly.
 """
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
@@ -103,19 +102,38 @@ def read_program(path) -> GateProgram:
 
 
 def integrals_to_json(ints: ElectronicIntegrals) -> dict:
-    h2 = [
-        {"pqrs": list(idx), "value": val}
-        for idx, val in sorted(ints.h2.items())
-    ]
+    """The file form of the integrals: ``h2`` lists its nonzero entries in ascending order."""
+    at = np.argwhere(ints.h2)
+    h2 = [{"pqrs": idx, "value": val}
+          for idx, val in zip(at.tolist(), ints.h2[tuple(at.T)].tolist())]
     return {"n": ints.n, "h1": ints.h1.tolist(), "h2": h2}
 
 
-def _integrals_args(obj: dict) -> tuple[int, np.ndarray, dict]:
+def _integrals_args(obj: dict) -> tuple[int, np.ndarray, np.ndarray]:
+    """n, h1 and the (n, n, n, n) h2 tensor of an integrals file.
+
+    An ``h2`` index that is not four integers in [0, n), or that occurs twice,
+    raises ``ValueError`` naming the first such item in file order.
+    """
     try:
-        h2 = {tuple(item["pqrs"]): float(item["value"]) for item in obj["h2"]}
-        return int(obj["n"]), np.array(obj["h1"], dtype=float), h2
+        n, h1 = int(obj["n"]), np.array(obj["h1"], dtype=float)
+        pqrs = [tuple(item["pqrs"]) for item in obj["h2"]]
+        values = [float(item["value"]) for item in obj["h2"]]
+        if h1.shape != (n, n):
+            raise ValueError("one-body matrix must be n x n")
+        orbitals = set(range(n))
+        bad = next((idx for idx in pqrs if len(idx) != 4 or not orbitals.issuperset(idx)), None)
     except TypeError as err:
         raise ValueError(f"malformed integrals file: {err}") from err
+    if bad is not None:
+        raise ValueError(f"bad two-body index {bad}")
+    flat = np.ravel_multi_index(np.array(pqrs, dtype=np.int64).reshape(-1, 4).T, (n,) * 4)
+    seen = np.bincount(flat, minlength=n ** 4)
+    if seen.max() > 1:
+        raise ValueError(f"duplicate two-body index {pqrs[int(np.argmax(seen[flat] > 1))]}")
+    h2 = np.zeros(n ** 4)
+    h2[flat] = values
+    return n, h1, h2.reshape((n,) * 4)
 
 
 def write_integrals(path, ints: ElectronicIntegrals) -> None:
@@ -191,24 +209,20 @@ def partition_report(poly_report: dict, partition: AnticommutingPartition,
 
 
 class SampleWriter:
-    """Incremental CSV writer: one row per snapshot."""
+    """Incremental CSV writer: one row per snapshot, written a batch at a time."""
 
     def __init__(self, path):
         self._fh = open(path, "w", newline="")
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(["id", "permutation", "signs", "bits"])
+        self._fh.write("id,permutation,signs,bits\r\n")
         self._next = 0
 
-    def write_raw(self, perm, signs, bits):
-        self._writer.writerow(
-            [
-                self._next,
-                " ".join(map(str, perm)),
-                " ".join(map(str, signs)),
-                "".join(map(str, bits)),
-            ]
-        )
-        self._next += 1
+    def write_batch(self, perms, signs, bits):
+        """Append one row per snapshot, with csv's \\r\\n line ends; no field needs quoting."""
+        ids = range(self._next, self._next + len(perms))
+        self._fh.write("".join(
+            f"{i},{' '.join(map(str, perm))},{' '.join(map(str, sign))},{''.join(map(str, bit))}\r\n"
+            for i, perm, sign, bit in zip(ids, perms.tolist(), signs.tolist(), bits.tolist())))
+        self._next += len(perms)
 
     def close(self):
         self._fh.close()

@@ -24,7 +24,7 @@ from math import atan2, hypot, sqrt
 
 import numpy as np
 
-from .majorana import _sort_with_parity
+from .majorana import _sort_rows_with_parity
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -48,51 +48,39 @@ _EIGHTFOLD = (
 )
 
 
+def _first(mask: np.ndarray) -> tuple[int, ...]:
+    """Index of the first True entry of ``mask`` in ascending (C) order."""
+    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
+
+
 class ElectronicIntegrals:
-    """One- and two-body integrals with the real eightfold symmetry."""
+    """Read-only one-body (n, n) and two-body (n, n, n, n) integrals with the eightfold symmetry."""
 
     def __init__(self, n: int, h1, h2, tol: Tolerances = DEFAULT):
         if n < 1:
             raise ValueError("orbital count must be positive")
         self.n = n
         h1 = np.array(h1, dtype=float)
+        h2 = np.array(h2, dtype=float)
         if h1.shape != (n, n):
             raise ValueError("one-body matrix must be n x n")
+        if h2.shape != (n, n, n, n):
+            raise ValueError("two-body tensor must be n^4")
+        for name, h in (("one-body", h1), ("two-body", h2)):
+            if not np.isfinite(h).all():
+                raise ValueError(f"{name} integral at {_first(~np.isfinite(h))} is not finite")
         if np.max(np.abs(h1 - h1.T)) > tol.symmetry_check:
             raise ValueError("one-body integrals must be symmetric")
-        h1.setflags(write=False)
-        self.h1 = h1
-        if isinstance(h2, np.ndarray):
-            if h2.shape != (n, n, n, n):
-                raise ValueError("two-body tensor must be n^4")
-            h2 = np.asarray(h2, dtype=float)
-            at = np.nonzero(h2)
-            self.h2 = dict(zip(zip(*(i.tolist() for i in at)), h2[at].tolist()))
-        else:
-            self.h2 = {tuple(map(int, k)): float(v) for k, v in dict(h2).items()}
-            bad = next((k for k in self.h2 if len(k) != 4 or not 0 <= min(k) <= max(k) < n), None)
-            if bad is not None:
-                raise ValueError(f"bad two-body index {bad}")
-            at = tuple(np.array(list(self.h2), dtype=np.int64).reshape(-1, 4).T)
-        self._check_h2_symmetry(at, tol)
-
-    def _check_h2_symmetry(self, at, tol: Tolerances):
-        """Compare a dense scatter of h2, at index arrays ``at``, with its eight transposes.
-
-        An error names the first failing entry in dict order: the permutations
-        form a group, so every failing pair holds at least one stored entry.
-        """
-        dense = np.zeros((self.n,) * 4)
-        dense[at] = list(self.h2.values())
-        bad = np.zeros(dense.shape, dtype=bool)
+        # every failing pair of images holds a nonzero entry, so one is named
+        bad = np.zeros(h2.shape, dtype=bool)
         for perm in _EIGHTFOLD:
-            bad |= np.abs(np.transpose(dense, perm) - dense) > tol.symmetry_check
+            bad |= np.abs(np.transpose(h2, perm) - h2) > tol.symmetry_check
         if bad.any():
-            idx = list(self.h2)[int(np.argmax(bad[at]))]
-            raise ValueError(f"two-body integrals violate permutational symmetry at {idx}")
-
-    def h2_value(self, p, q, r, s) -> float:
-        return self.h2.get((p, q, r, s), 0.0)
+            raise ValueError("two-body integrals violate permutational symmetry at "
+                             f"{_first(bad & (h2 != 0.0))}")
+        h1.setflags(write=False)
+        h2.setflags(write=False)
+        self.h1, self.h2 = h1, h2
 
 
 @dataclass
@@ -155,44 +143,39 @@ def _quadratic_term(p: int, q: int) -> tuple[tuple[int, ...], float]:
     return (b, a), 1.0
 
 
-def _quartic_term(p: int, q: int, r: int, s: int) -> tuple[tuple[int, ...], float]:
-    """Canonical set and sign for g_{2p} g_{2q} g_{2r+1} g_{2s+1}."""
-    indices, parity = _sort_with_parity((2 * p, 2 * q, 2 * r + 1, 2 * s + 1))
-    # canonical quartic monomial carries (-i)^6 = -1 against the raw product
-    return indices, -(1.0 if parity == 0 else -1.0)
-
-
 def majorana_form(ints: ElectronicIntegrals, tol: Tolerances = DEFAULT) -> MajoranaPolynomial:
-    """Rewrite the ladder-operator Hamiltonian over canonical Majorana monomials."""
-    n = ints.n
+    """Rewrite the ladder-operator Hamiltonian over canonical Majorana monomials.
+
+    Each coefficient is summed in ascending index order, one term at a time.
+    """
+    n, h1, h2 = ints.n, ints.h1, ints.h2
     poly = MajoranaPolynomial(n)
 
-    const = 0.5 * float(np.trace(ints.h1))
-    for p in range(n):
-        for q in range(n):
-            if p != q:
-                const += 0.125 * (ints.h2_value(p, q, q, p) - ints.h2_value(p, q, p, q))
+    const = 0.5 * float(np.trace(h1))
+    exchange = 0.125 * (np.einsum("pqqp->pq", h2) - np.einsum("pqpq->pq", h2))
+    for c in exchange[~np.eye(n, dtype=bool)].tolist():
+        const += c
     poly.constant = const
 
-    for p in range(n):
-        for q in range(n):
-            coeff = 0.5 * ints.h1[p, q]
-            for r in range(n):
-                if r != p and r != q:
-                    coeff += 0.25 * (ints.h2_value(p, r, r, q) - ints.h2_value(p, q, r, r))
-            if coeff != 0.0:
-                idx, sign = _quadratic_term(p, q)
-                poly.add(idx, sign * coeff)
+    # term [p, q, r] is added one r at a time; r = p or r = q adds 0.0, which changes no sum
+    pairs = 0.25 * (np.einsum("prrq->pqr", h2) - np.einsum("pqrr->pqr", h2))
+    m = np.arange(n)
+    pairs[(m[:, None, None] == m) | (m[None, :, None] == m)] = 0.0
+    coeffs = 0.5 * h1
+    for r in range(n):
+        coeffs = coeffs + pairs[:, :, r]
+    for (p, q), c in zip(np.ndindex(n, n), coeffs.ravel().tolist()):
+        idx, sign = _quadratic_term(p, q)
+        poly.add(idx, sign * c)
 
-    # quartic weight is -1/4 h_pqrs against the raw generator product; the 1/2
-    # of the two-body sum is folded in
-    for (p, q, r, s), val in ints.h2.items():
-        if p == q or r == s:
-            continue
-        coeff = -0.125 * val
-        if coeff != 0.0:
-            idx, sign = _quartic_term(p, q, r, s)
-            poly.add(idx, sign * coeff)
+    # h_pqrs weighs -1/8 against the raw product g_2p g_2q g_2r+1 g_2s+1 (the 1/2 of the
+    # two-body sum folded in); the canonical monomial carries (-i)^6 = -1 against the sorted one
+    at = np.argwhere(h2)
+    at = at[(at[:, 0] != at[:, 1]) & (at[:, 2] != at[:, 3])]
+    sets, parity = _sort_rows_with_parity(2 * at + [0, 0, 1, 1])
+    weights = np.where(parity == 0, 0.125, -0.125) * h2[tuple(at.T)]
+    for idx, c in zip(map(tuple, sets.tolist()), weights.tolist()):
+        poly.add(idx, c)
 
     return poly.pruned(tol.coeff_prune)
 
@@ -284,25 +267,21 @@ def analytic_partition(n: int) -> list[list[tuple[int, ...]]]:
         if (2, r, s) in quartic:
             fused = fused + quartic.pop((2, r, s))
         merged.append(fused)
-    keyed = {(q, r, s): m for (q, r, s), m in quartic.items()}
 
     # distribute quadratic terms; T_p joins the q = p family when one exists
     leftovers: list[tuple[int, ...]] = []
     for p in range(n):
-        quads = []
-        for q in range(n):
-            a, b = 2 * p, 2 * q + 1
-            quads.append((a, b) if a < b else (b, a))
+        quads = [_quadratic_term(p, q)[0] for q in range(n)]
         host = (p, 0, 1)
         spill = (p, 2, 3)
-        if p >= 3 and host in keyed and spill in keyed:
+        if p >= 3 and host in quartic and spill in quartic:
             excluded = [quads[0], quads[1]]
-            keyed[host].extend(t for t in quads if t not in excluded)
-            keyed[spill].extend(excluded)
+            quartic[host].extend(t for t in quads if t not in excluded)
+            quartic[spill].extend(excluded)
         else:
             leftovers.extend(quads)
 
-    return _first_fit(leftovers, merged + list(keyed.values()), n)
+    return _first_fit(leftovers, merged + list(quartic.values()), n)
 
 
 def partition_from_template(poly: MajoranaPolynomial,

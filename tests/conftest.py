@@ -10,8 +10,10 @@ import pytest
 from scipy.stats import ortho_group, unitary_group
 
 import freeferm as ff
-from freeferm import CovarianceMatrix, MajoranaMonomial, SlaterDeterminant, oracle
+from freeferm import CovarianceMatrix, MajoranaMonomial, SlaterDeterminant, dense, oracle
 from freeferm.circuits import PauliLayer, XXRot, _assemble, _check_orthogonal
+from freeferm.majorana import _sort_with_parity
+from freeferm.partition import _quadratic_term
 from freeferm.oracle import random_antisymmetric
 
 
@@ -202,3 +204,45 @@ def random_symmetric_integrals(n, rng):
         h2 += np.transpose(raw, perm)
     h2 /= len(perms)
     return h1, h2
+
+
+def dense_hamiltonian(ints):
+    """Dense H = sum h1_pq a_p^dag a_q + 1/2 sum h2_pqrs a_p^dag a_q^dag a_r a_s, term by term."""
+    n = ints.n
+    ladders = [dense.ladder(n, p) for p in range(n)]
+    daggers = [l.conj().T for l in ladders]
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for p, q in np.ndindex(ints.h1.shape):
+        h += ints.h1[p, q] * daggers[p] @ ladders[q]
+    for p, q, r, s in np.ndindex(ints.h2.shape):
+        h += 0.5 * ints.h2[p, q, r, s] * daggers[p] @ daggers[q] @ ladders[r] @ ladders[s]
+    return h
+
+
+def reference_majorana_form(ints, tol=ff.DEFAULT):
+    """Scalar loops over the integrals: what the array-built ``majorana_form`` must match."""
+    n, h1, h2 = ints.n, ints.h1, ints.h2
+    poly = ff.MajoranaPolynomial(n)
+    const = 0.5 * float(np.trace(h1))
+    for p in range(n):
+        for q in range(n):
+            if p != q:
+                const += 0.125 * (h2[p, q, q, p] - h2[p, q, p, q])
+    poly.constant = const
+    for p in range(n):
+        for q in range(n):
+            coeff = 0.5 * h1[p, q]
+            for r in range(n):
+                if r != p and r != q:
+                    coeff += 0.25 * (h2[p, r, r, q] - h2[p, q, r, r])
+            if coeff != 0.0:
+                idx, sign = _quadratic_term(p, q)
+                poly.add(idx, sign * coeff)
+    for p, q, r, s in np.ndindex(h2.shape):
+        coeff = -0.125 * h2[p, q, r, s]
+        if p == q or r == s or coeff == 0.0:
+            continue
+        idx, parity = _sort_with_parity((2 * p, 2 * q, 2 * r + 1, 2 * s + 1))
+        # the canonical quartic monomial carries (-i)^6 = -1 against the raw product
+        poly.add(idx, (-1.0 if parity == 0 else 1.0) * coeff)
+    return poly.pruned(tol.coeff_prune)

@@ -18,6 +18,7 @@ from freeferm.shadows import ShadowAccumulator, exact_two_rdm
 
 from conftest import (
     colex_sets,
+    dense_hamiltonian,
     random_antisymmetric,
     random_mixed_covariance,
     random_pure_state,
@@ -283,16 +284,7 @@ def test_criterion_8_partitioner():
         rep = ff.norms_report(poly, part)
         bounds_ok &= rep["bounds_ok"]
 
-        ladders = [dense.ladder(n, p) for p in range(n)]
-        daggers = [l.conj().T for l in ladders]
         dim = 2 ** n
-        h_dense = np.zeros((dim, dim), dtype=complex)
-        for p in range(n):
-            for q in range(n):
-                h_dense += ints.h1[p, q] * daggers[p] @ ladders[q]
-        for (p, q, r, s), val in ints.h2.items():
-            h_dense += 0.5 * val * daggers[p] @ daggers[q] @ ladders[r] @ ladders[s]
-
         total = poly.constant * np.eye(dim, dtype=complex)
         for s in part.sets:
             plan = ff.rotation_plan(s.members, s.betas)
@@ -305,7 +297,7 @@ def test_criterion_8_partitioner():
                 x = 1j * target @ pk
                 rot = (np.cos(theta / 2) * np.eye(dim) - 1j * np.sin(theta / 2) * x) @ rot
             total += s.gamma * plan.target_sign * rot.conj().T @ target @ rot
-        energy_ok &= bool(np.max(np.abs(total - h_dense)) < 1e-8)
+        energy_ok &= bool(np.max(np.abs(total - dense_hamiltonian(ints))) < 1e-8)
 
     ok = counts_ok and anticommute_ok and energy_ok and bounds_ok and greedy_ok
     assert report(

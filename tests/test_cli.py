@@ -239,6 +239,53 @@ def test_partition_rejects_malformed_two_body_item(runner, tmp_path, item):
     assert not (tmp_path / "report.json").exists()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("h1, h2, message", [
+    ([[1.0, NAN], [NAN, 1.0]], [([0, 0, 0, 0], 0.5), ([1, 1, 1, 1], NAN)],
+     "one-body integral at (0, 1) is not finite"),
+    ([[1.0, 0.0], [0.0, 1.0]], [([0, 0, 0, 0], 0.5), ([1, 1, 1, 1], NAN)],
+     "two-body integral at (1, 1, 1, 1) is not finite"),
+    ([[1.0, 0.0], [0.0, 1.0]], [([0, 0, 0, 0], -INF), ([1, 1, 1, 1], INF)],
+     "two-body integral at (0, 0, 0, 0) is not finite"),
+    ([[1.0, 0.0], [0.0, INF]], [([0, 0, 0, 0], 0.5), ([1, 1, 1, 1], -INF)],
+     "one-body integral at (1, 1) is not finite"),
+    ([[1.0, 0.0], [0.0, 1.0]], [([0, 0, 0, 0], 0.5), ([0, 1, 1, 0], 0.2), ([0, 0, 0, 0], 0.5)],
+     "duplicate two-body index (0, 0, 0, 0)"),
+], ids=["nan", "nan-two-body", "inf", "inf-one-body", "duplicate"])
+def test_partition_rejects_non_finite_or_repeated_integrals(runner, tmp_path, h1, h2, message):
+    src = tmp_path / "ints.json"
+    items = [{"pqrs": pqrs, "value": value} for pqrs, value in h2]
+    src.write_text(json.dumps({"n": 2, "h1": h1, "h2": items}))
+    res = runner.invoke(main, [
+        "partition", "--input", str(src), "--report", str(tmp_path / "report.json"),
+    ])
+    assert res.exit_code != 0
+    assert res.output.strip().splitlines() == [f"error:invalid-input: {message}"]
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("method", ["greedy", "analytic"])
+def test_partition_report_ignores_item_order(runner, tmp_path, rng, method):
+    # the averaged integrals are symmetric only up to rounding, so summing the images of
+    # a quartic set in file order would round differently
+    src = tmp_path / "ints.json"
+    io.write_integrals(src, ff.ElectronicIntegrals(4, *random_symmetric_integrals(4, rng)))
+    obj = json.loads(src.read_text())
+    obj["h2"] = [obj["h2"][i] for i in rng.permutation(len(obj["h2"]))]
+    shuffled = tmp_path / "shuffled.json"
+    shuffled.write_text(json.dumps(obj))
+    reports = []
+    for path in (src, shuffled):
+        report = tmp_path / f"report_{path.stem}.json"
+        res = runner.invoke(main, ["partition", "--input", str(path), "--method", method,
+                                   "--report", str(report)])
+        assert res.exit_code == 0, res.output
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_verify_passes(runner):
     res = runner.invoke(main, ["verify", "--modes", "3", "--seed", "3"])
     assert res.exit_code == 0, res.output

@@ -1,4 +1,6 @@
 """Serialization round trips for the file formats."""
+import csv
+import io as io_module
 import json
 from math import comb
 
@@ -67,12 +69,18 @@ def test_write_program_matches_json_dump(tmp_path, rng, rotations, layer):
 
 def test_integrals_round_trip(tmp_path, rng):
     h1, h2 = random_symmetric_integrals(3, rng)
+    # p + q + r + s is the same on every image of an entry, so this keeps the symmetry
+    h2[np.indices(h2.shape).sum(axis=0) % 3 == 0] = 0.0
     ints = ff.ElectronicIntegrals(3, h1, h2)
     path = tmp_path / "ints.json"
     io.write_integrals(path, ints)
+    # only the nonzero entries are written, in ascending order
+    items = json.loads(path.read_text())["h2"]
+    assert [tuple(item["pqrs"]) for item in items] == [
+        idx for idx in np.ndindex(h2.shape) if h2[idx] != 0.0]
     back = io.read_integrals(path)
     assert np.array_equal(back.h1, ints.h1)
-    assert back.h2 == ints.h2
+    assert np.array_equal(back.h2, ints.h2)
 
 
 def test_estimates_round_trip(tmp_path):
@@ -121,10 +129,19 @@ def test_estimates_from_json_rejects_missing_set(tmp_path, rng):
 
 
 def test_sample_writer(tmp_path):
+    perms = np.array([[2, 0, 3, 1], [0, 1, 2, 3], [3, 2, 1, 0]])
+    signs = np.array([[1, -1, 1, 1], [1, 1, 1, 1], [-1, -1, 1, -1]], dtype=np.int8)
+    bits = np.array([[1, 0], [0, 0], [1, 1]], dtype=np.uint8)
     path = tmp_path / "samples.csv"
     with io.SampleWriter(path) as writer:
-        writer.write_raw(np.array([2, 0, 3, 1]), np.array([1, -1, 1, 1], dtype=np.int8),
-                         np.array([1, 0], dtype=np.uint8))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "id,permutation,signs,bits"
-    assert lines[1] == "0,2 0 3 1,1 -1 1 1,10"
+        writer.write_batch(perms[:2], signs[:2], bits[:2])
+        writer.write_batch(perms[2:], signs[2:], bits[2:])
+        writer.write_batch(perms[:0], signs[:0], bits[:0])
+    # the bytes of one csv.writer row per snapshot, ids counting on across batches
+    expected = io_module.StringIO(newline="")
+    rows = csv.writer(expected)
+    rows.writerow(["id", "permutation", "signs", "bits"])
+    for i, (perm, sign, bit) in enumerate(zip(perms, signs, bits)):
+        rows.writerow([i, " ".join(map(str, perm)), " ".join(map(str, sign)), "".join(map(str, bit))])
+    assert path.read_bytes() == expected.getvalue().encode()
+    assert path.read_text().splitlines()[1] == "0,2 0 3 1,1 -1 1 1,10"

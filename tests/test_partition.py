@@ -1,4 +1,5 @@
 """Majorana form, anticommuting partitioning, and rotation plans."""
+import json
 import re
 from itertools import combinations
 from math import atan2, comb
@@ -9,27 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freeferm as ff
-from freeferm import dense, partition
+from freeferm import dense, io, partition
 from freeferm.partition import PartitionSet
 
-from conftest import random_symmetric_integrals, reference_first_fit
-
-
-def dense_hamiltonian(ints):
-    """Dense ladder-operator Hamiltonian of an integrals record."""
-    n = ints.n
-    dim = 2 ** n
-    ladders = [dense.ladder(n, p) for p in range(n)]
-    daggers = [l.conj().T for l in ladders]
-    h = np.zeros((dim, dim), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            if ints.h1[p, q] != 0.0:
-                h += ints.h1[p, q] * daggers[p] @ ladders[q]
-    for (p, q, r, s), val in ints.h2.items():
-        if val != 0.0:
-            h += 0.5 * val * daggers[p] @ daggers[q] @ ladders[r] @ ladders[s]
-    return h
+from conftest import (
+    dense_hamiltonian,
+    random_symmetric_integrals,
+    reference_first_fit,
+    reference_majorana_form,
+)
 
 
 def dense_polynomial(poly):
@@ -48,59 +37,66 @@ def integrals(n, rng):
 
 # ------------------------------------------------------------ majorana form
 
-def test_integrals_validation(rng):
-    with pytest.raises(ValueError):
-        ff.ElectronicIntegrals(2, np.array([[0.0, 1.0], [0.0, 0.0]]), {})
+def integrals_file(tmp_path, items, n=2):
+    """An integrals file with zero h1 and the given (pqrs, value) h2 items, in order."""
+    path = tmp_path / "ints.json"
+    h2 = [{"pqrs": list(idx), "value": val} for idx, val in items]
+    path.write_text(json.dumps({"n": n, "h1": np.zeros((n, n)).tolist(), "h2": h2}))
+    return path
+
+
+def test_integrals_validation():
+    h2 = np.zeros((2, 2, 2, 2))
+    with pytest.raises(ValueError, match="one-body integrals must be symmetric"):
+        ff.ElectronicIntegrals(2, np.array([[0.0, 1.0], [0.0, 0.0]]), h2)
     h1 = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        ff.ElectronicIntegrals(2, h1, {(0, 0, 0, 1): 1.0})
+    with pytest.raises(ValueError, match="n\\^4"):
+        ff.ElectronicIntegrals(2, h1, np.zeros((2, 2, 2)))
+    h2[0, 0, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetry"):
+        ff.ElectronicIntegrals(2, h1, h2)
+
+
+def test_integrals_are_read_only_copies(rng):
+    h1, h2 = random_symmetric_integrals(2, rng)
+    ints = ff.ElectronicIntegrals(2, h1, h2)
+    assert np.array_equal(ints.h1, h1) and np.array_equal(ints.h2, h2)
+    assert not ints.h1.flags.writeable and not ints.h2.flags.writeable
+    assert h1.flags.writeable and h2.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [(-1, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0), (0, 0, 0, 0, 0)])
-def test_integrals_reject_bad_index_before_symmetry(bad):
+def test_integrals_reject_bad_index_before_symmetry(bad, tmp_path):
     # checked first: a scatter would wrap -1 and raise IndexError at n
-    h2 = {(0, 0, 0, 0): 1.0, (0, 1, 0, 1): 0.5, bad: 1.0, (1, 0, 0, 0): 2.0}
+    items = [((0, 0, 0, 0), 1.0), ((0, 1, 0, 1), 0.5), (bad, 1.0), ((1, 0, 0, 0), 2.0)]
     with pytest.raises(ValueError, match=re.escape(f"bad two-body index {bad}")):
-        ff.ElectronicIntegrals(2, np.zeros((2, 2)), h2)
+        io.read_integrals(integrals_file(tmp_path, items))
 
 
-def test_symmetry_error_names_first_entry_in_dict_order():
-    h1 = np.zeros((2, 2))
+def test_symmetry_error_names_first_nonzero_entry_in_ascending_order(tmp_path):
+    # the file order of the items does not matter
     for first, second in [((0, 0, 0, 1), (1, 1, 1, 0)), ((1, 1, 1, 0), (0, 0, 0, 1))]:
-        h2 = {(0, 0, 0, 0): 1.0, first: 1.0, second: 1.0}
-        with pytest.raises(ValueError, match=re.escape(f"symmetry at {first}")):
-            ff.ElectronicIntegrals(2, h1, h2)
-    # a zero image of a stored entry is a violation as well
+        items = [((0, 0, 0, 0), 1.0), (first, 1.0), (second, 1.0)]
+        with pytest.raises(ValueError, match=re.escape("symmetry at (0, 0, 0, 1)")):
+            io.read_integrals(integrals_file(tmp_path, items))
+    # a zero image of a nonzero entry is a violation as well, but only nonzero entries are named
+    h1 = np.zeros((2, 2))
     h2 = np.zeros((2, 2, 2, 2))
-    h2[1, 0, 0, 0] = h2[0, 0, 0, 1] = h2[0, 1, 0, 0] = 1.0
-    with pytest.raises(ValueError, match=re.escape("symmetry at (0, 0, 0, 1)")):
+    h2[1, 0, 0, 0] = h2[0, 0, 1, 0] = h2[0, 1, 0, 0] = 1.0
+    with pytest.raises(ValueError, match=re.escape("symmetry at (0, 0, 1, 0)")):
         ff.ElectronicIntegrals(2, h1, h2)
-    h2[0, 0, 1, 0] = 1.0
-    assert list(ff.ElectronicIntegrals(2, h1, h2).h2) == [
-        (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
-
-
-def test_tensor_and_dict_forms_agree(rng):
-    n = 3
-    h1, h2 = random_symmetric_integrals(n, rng)
-    # p + q + r + s is the same on every image of an entry, so this keeps the symmetry
-    h2[np.indices(h2.shape).sum(axis=0) % 3 == 0] = 0.0
-    from_tensor = ff.ElectronicIntegrals(n, h1, h2)
-    nonzero = [idx for idx in np.ndindex(h2.shape) if h2[idx] != 0.0]
-    assert list(from_tensor.h2) == nonzero
-    assert all(type(i) is int for idx in from_tensor.h2 for i in idx)
-    assert from_tensor.h2 == {idx: float(h2[idx]) for idx in nonzero}
-    from_dict = ff.ElectronicIntegrals(n, h1, from_tensor.h2)
-    assert list(from_dict.h2.items()) == list(from_tensor.h2.items())
+    h2[0, 0, 0, 1] = 1.0
+    assert np.argwhere(ff.ElectronicIntegrals(2, h1, h2).h2).tolist() == [
+        [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
 
 
 def test_majorana_form_zero():
-    poly = ff.majorana_form(ff.ElectronicIntegrals(2, np.zeros((2, 2)), {}))
+    poly = ff.majorana_form(ff.ElectronicIntegrals(2, np.zeros((2, 2)), np.zeros((2,) * 4)))
     assert poly.terms == {} and poly.constant == 0.0
 
 
 def test_majorana_form_number_operator():
-    poly = ff.majorana_form(ff.ElectronicIntegrals(2, np.eye(2), {}))
+    poly = ff.majorana_form(ff.ElectronicIntegrals(2, np.eye(2), np.zeros((2,) * 4)))
     assert poly.constant == pytest.approx(1.0)
     assert poly.terms == pytest.approx({(0, 1): -0.5, (2, 3): -0.5})
 
@@ -111,6 +107,23 @@ def test_majorana_form_matches_dense(n, rng):
     lhs = dense_hamiltonian(ints)
     rhs = dense_polynomial(ff.majorana_form(ints))
     assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_majorana_form_matches_scalar_loops(n, sparse, rng):
+    h1, h2 = random_symmetric_integrals(n, rng)
+    if sparse:
+        # every image of an entry has the same indices, so both zero patterns keep the symmetry
+        h1[n // 2] = h1[:, n // 2] = 0.0
+        for axis in range(4):
+            np.moveaxis(h2, axis, 0)[n // 2] = 0.0
+        h2[np.indices(h2.shape).sum(axis=0) % 3 == 0] = 0.0
+    ints = ff.ElectronicIntegrals(n, h1, h2)
+    got, want = ff.majorana_form(ints), reference_majorana_form(ints)
+    assert float.hex(got.constant) == float.hex(want.constant)
+    assert list(got.terms) == list(want.terms)
+    assert all(float.hex(got.terms[idx]) == float.hex(c) for idx, c in want.terms.items())
 
 
 # ---------------------------------------------------------------- greedy
