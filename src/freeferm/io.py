@@ -112,7 +112,7 @@ def integrals_to_json(ints: ElectronicIntegrals) -> dict:
 def _integrals_args(obj: dict) -> tuple[int, np.ndarray, np.ndarray]:
     """n, h1 and the (n, n, n, n) h2 tensor of an integrals file.
 
-    An ``h2`` index that is not four integers in [0, n), or that occurs twice,
+    An ``h2`` index that is not four whole numbers in [0, n), or that occurs twice,
     raises ``ValueError`` naming the first such item in file order.
     """
     try:
@@ -218,10 +218,11 @@ class SampleWriter:
 
     def write_batch(self, perms, signs, bits):
         """Append one row per snapshot, with csv's \\r\\n line ends; no field needs quoting."""
-        ids = range(self._next, self._next + len(perms))
+        rows = zip(range(self._next, self._next + len(perms)),
+                   perms.tolist(), signs.tolist(), bits.tolist())
         self._fh.write("".join(
-            f"{i},{' '.join(map(str, perm))},{' '.join(map(str, sign))},{''.join(map(str, bit))}\r\n"
-            for i, perm, sign, bit in zip(ids, perms.tolist(), signs.tolist(), bits.tolist())))
+            f"{i},{' '.join(map(str, p))},{' '.join(map(str, s))},{''.join(map(str, b))}\r\n"
+            for i, p, s, b in rows))
         self._next += len(perms)
 
     def close(self):

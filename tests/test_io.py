@@ -142,6 +142,7 @@ def test_sample_writer(tmp_path):
     rows = csv.writer(expected)
     rows.writerow(["id", "permutation", "signs", "bits"])
     for i, (perm, sign, bit) in enumerate(zip(perms, signs, bits)):
-        rows.writerow([i, " ".join(map(str, perm)), " ".join(map(str, sign)), "".join(map(str, bit))])
+        rows.writerow([i, " ".join(map(str, perm)), " ".join(map(str, sign)),
+                       "".join(map(str, bit))])
     assert path.read_bytes() == expected.getvalue().encode()
     assert path.read_text().splitlines()[1] == "0,2 0 3 1,1 -1 1 1,10"
