@@ -27,13 +27,13 @@ def matrix_to_json(kind: str, matrix: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict, expect_kind: str | None = None) -> tuple[str, np.ndarray]:
-    kind = obj.get("kind")
-    if expect_kind is not None and kind != expect_kind:
-        raise ValueError(f"expected a {expect_kind!r} matrix, found {kind!r}")
     try:
+        kind = obj.get("kind")
+        if expect_kind is not None and kind != expect_kind:
+            raise ValueError(f"expected a {expect_kind!r} matrix, found {kind!r}")
         n = int(obj["n_modes"])
         data = np.array(obj["data"], dtype=float)
-    except TypeError as err:
+    except (AttributeError, TypeError) as err:
         raise ValueError(f"malformed matrix file: {err}") from err
     if data.size != (2 * n) ** 2:
         raise ValueError("matrix payload has the wrong size")

@@ -110,24 +110,18 @@ def shadow_norm_sq(n: int, k: int) -> Fraction:
 
 
 def observable_norm_bound(poly) -> float:
-    """Triangle-inequality bound on the shadow norm of a coefficient map.
+    """Triangle-inequality bound on the shadow norm of a MajoranaPolynomial.
 
-    ``poly`` may be a MajoranaPolynomial or a plain {index set: coefficient}
-    map; the identity component is ignored.
+    The identity component is ignored.
     """
-    terms = poly.terms if hasattr(poly, "terms") else poly
-    n = poly.n_modes if hasattr(poly, "n_modes") else None
-    if n is None:
-        top = max((max(idx) for idx in terms if idx), default=1)
-        n = top // 2 + 1
     total = 0.0
-    for idx, coeff in terms.items():
+    for idx, coeff in poly.terms.items():
         if not idx:
             continue
         if len(idx) % 2:
             raise ValueError("observable must be even degree")
         k = len(idx) // 2
-        total += abs(coeff) * sqrt(float(shadow_norm_sq(n, k)))
+        total += abs(coeff) * sqrt(float(shadow_norm_sq(poly.n_modes, k)))
     return total
 
 

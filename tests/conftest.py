@@ -11,8 +11,8 @@ from scipy.stats import ortho_group, unitary_group
 
 import freeferm as ff
 from freeferm import CovarianceMatrix, MajoranaMonomial, SlaterDeterminant, dense, oracle
-from freeferm.circuits import PauliLayer, XXRot, _assemble, _check_orthogonal
-from freeferm.majorana import _sort_with_parity
+from freeferm.circuits import GateProgram, PauliLayer, XXRot, ZRot, _assemble, _check_orthogonal
+from freeferm.majorana import _sort_with_parity, multiply_pauli_letters
 from freeferm.partition import _quadratic_term
 from freeferm.oracle import random_antisymmetric
 
@@ -110,7 +110,7 @@ def reference_compile_naive(q, tol=ff.DEFAULT):
     """The sequential Givens QR loop: what the wavefront ``compile_naive`` must match."""
     y = _check_orthogonal(q, tol).T.copy()
     dim = y.shape[0]
-    prims = []
+    rotations = []
     for j in range(dim - 1):
         for i in range(dim - 1, j, -1):
             x, z = y[i - 1, j], y[i, j]
@@ -123,9 +123,73 @@ def reference_compile_naive(q, tol=ff.DEFAULT):
             y[i - 1, :] = upper
             y[i, :] = lower
             y[i, j] = 0.0
-            prims.append(("givens", i - 1, -theta))
-    prims.append(("diag", np.sign(np.diag(y))))
-    return _assemble(dim // 2, prims, tol)
+            rotations.append((i - 1, -theta))
+    return _assemble(dim // 2, rotations, np.sign(np.diag(y)), tol)
+
+
+def reference_layer_letters(signs):
+    """Pauli string for g_u -> signs[u] g_u as a product of one word per flipped mode pair."""
+    n = len(signs) // 2
+    letters = "I" * n
+    for p in range(n):
+        a, b = signs[2 * p], signs[2 * p + 1]
+        if a > 0 and b > 0:
+            continue
+        if a < 0 and b < 0:
+            word = "I" * p + "Z" + "I" * (n - p - 1)
+        else:
+            head = "X" if a > 0 else "Y"
+            word = "I" * p + head + "Z" * (n - p - 1)
+        letters, _ = multiply_pauli_letters(letters, word)
+    return letters
+
+
+def reference_assemble(n_qubits, primitives, tol=ff.DEFAULT):
+    """A general interpreter of tagged primitives: what ``_assemble`` must match.
+
+    A primitive is ("givens", axis, theta) or ("diag", signs), in time order,
+    with any number of sign layers anywhere. Each sign layer is pushed to the
+    end, multiplying a later rotation's angle on axes (a, a+1) by
+    signs[a] * signs[a+1]; a rotation merges into the previous gate when that
+    was the last on every qubit it touches and has the same axis.
+    """
+    signs = [1.0] * (2 * n_qubits)
+    rots = []  # [axis, theta]
+    last_on_qubit = [-1] * n_qubits
+
+    def qubits_of(axis):
+        if axis % 2 == 0:
+            return (axis // 2,)
+        return (axis // 2, axis // 2 + 1)
+
+    for prim in primitives:
+        if prim[0] == "diag":
+            for u, s in enumerate(prim[1]):
+                signs[u] *= s
+            continue
+        _, axis, theta = prim
+        theta = signs[axis] * signs[axis + 1] * theta
+        qs = qubits_of(axis)
+        prev = max(last_on_qubit[q] for q in qs)
+        if prev >= 0 and rots[prev][0] == axis and all(last_on_qubit[q] == prev for q in qs):
+            rots[prev][1] += theta
+        else:
+            rots.append([axis, theta])
+            for q in qs:
+                last_on_qubit[q] = len(rots) - 1
+
+    gates = []
+    for axis, theta in rots:
+        theta = (theta + np.pi) % (2 * np.pi) - np.pi
+        if abs(theta) < tol.rotation_cut:
+            continue
+        if axis % 2 == 0:
+            gates.append(ZRot(axis // 2, theta))
+        else:
+            gates.append(XXRot(axis // 2, theta))
+    snapped = [1.0 if s > 0 else -1.0 for s in signs]
+    gates.append(PauliLayer(reference_layer_letters(snapped)))
+    return GateProgram(n_qubits, tuple(gates))
 
 
 def stats_compare(q, tol=ff.DEFAULT):

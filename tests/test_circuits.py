@@ -8,8 +8,10 @@ import freeferm as ff
 from freeferm import dense, oracle
 from freeferm.circuits import (
     PauliLayer,
+    _assemble,
     _givens_matrix,
     _layer_action,
+    _layer_letters,
     XXRot,
     ZRot,
     compile_blocked,
@@ -20,6 +22,7 @@ from freeferm.dense import dense_unitary
 
 from conftest import (
     random_orthogonal,
+    reference_assemble,
     reference_compile_naive,
     reference_layer_action,
     reference_program_to_orthogonal,
@@ -278,6 +281,45 @@ def test_layer_action_matches_to_pauli(rng):
                 for _ in range(50)]
     for letters in strings:
         assert np.array_equal(_layer_action(letters), reference_layer_action(letters)), letters
+
+
+def test_layer_letters_invert_layer_action():
+    # _layer_action is a bijection from strings onto sign vectors, so this fixes every letter
+    for n in range(1, 7):
+        for signs in product([1.0, -1.0], repeat=2 * n):
+            assert _layer_action(_layer_letters(signs)).tolist() == list(signs), signs
+
+
+def random_stream(rng):
+    """Qubit count, tagged primitives with one sign layer at a random place, and the
+    same rotations with that layer pushed to the end, as the compilers hand them over.
+    """
+    n = int(rng.integers(1, 7))
+    specials = [0.0, -0.0, np.pi, -np.pi, 1e-15, -1e-15]
+    axes, thetas = [], []
+    for _ in range(int(rng.integers(0, 41))):
+        repeat = axes and rng.random() < 0.5
+        axes.append(axes[-1] if repeat else int(rng.integers(2 * n - 1)))
+        special = rng.random() < 0.3
+        thetas.append(specials[int(rng.integers(len(specials)))] if special
+                      else float(rng.normal()))
+    signs = rng.choice([-1.0, 1.0], size=2 * n)
+    cut = int(rng.integers(len(axes) + 1))
+    prims = [("givens", a, t) for a, t in zip(axes, thetas)]
+    prims.insert(cut, ("diag", signs))
+    rotations = [(a, t if k < cut else (signs[a] * signs[a + 1]) * t)
+                 for k, (a, t) in enumerate(zip(axes, thetas))]
+    return n, prims, rotations, signs
+
+
+def test_assemble_matches_tagged_interpreter():
+    # repr compares gate type, qubit and the angle's bits and float type
+    rng = np.random.default_rng(1405)
+    for _ in range(3000):
+        n, prims, rotations, signs = random_stream(rng)
+        got = _assemble(n, rotations, signs, ff.DEFAULT)
+        want = reference_assemble(n, prims)
+        assert [repr(g) for g in got.gates] == [repr(g) for g in want.gates], prims
 
 
 # ------------------------------------------------------------ serialization

@@ -174,6 +174,35 @@ def test_compile_rejects_null_mode_count(runner, tmp_path):
     assert not (tmp_path / "prog.json").exists()
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would print a second stderr line
+@pytest.mark.parametrize("scheme", ["naive", "blocked"])
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_compile_rejects_non_finite_matrix(runner, tmp_path, entry, scheme):
+    src = tmp_path / "q.json"
+    src.write_text(json.dumps({"kind": "orthogonal", "n_modes": 1, "data": [entry, 0.0, 0.0, 1.0]}))
+    res = runner.invoke(main, [
+        "compile", "--input", str(src), "--scheme", scheme, "--out", str(tmp_path / "prog.json"),
+        "--stats",
+    ])
+    assert res.exit_code != 0
+    assert res.output.strip().splitlines() == [
+        "error:invalid-input: input matrix has non-finite entries"]
+    assert not (tmp_path / "prog.json").exists()
+
+
+@pytest.mark.parametrize("payload", [[1, 2], "str"], ids=["list", "string"])
+def test_compile_rejects_non_object_file(runner, tmp_path, payload):
+    src = tmp_path / "q.json"
+    src.write_text(json.dumps(payload))
+    res = runner.invoke(main, [
+        "compile", "--input", str(src), "--out", str(tmp_path / "prog.json"),
+    ])
+    assert res.exit_code != 0
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:invalid-input: malformed matrix file: ")
+    assert not (tmp_path / "prog.json").exists()
+
+
 def test_partition_analytic_counts(runner, tmp_path, rng):
     n = 4
     h1, h2 = random_symmetric_integrals(n, rng)

@@ -14,6 +14,7 @@ its end-to-end medians, its operation and check counts and its metadata (git
 sha, source hash, CPU, library versions, rounds). ``src_dirty`` records
 whether ``git status --porcelain -- src`` listed anything when the workload
 ran, so a run of uncommitted source is not taken for its ``git_sha``.
+``src_lines`` is the summed line count of the checkout's ``src/freeferm/*.py``.
 ``run_seconds`` comes from that checkout's ``BENCHMARK.json``, so two
 checkouts are always measured for the same time. The result goes to
 ``--out``, by default ``BENCH_<label>.json`` at the root of that checkout.
@@ -23,6 +24,7 @@ requires.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import subprocess
@@ -33,6 +35,14 @@ def src_dirty(root: str) -> bool:
     proc = subprocess.run(["git", "-C", root, "status", "--porcelain", "--", "src"],
                           capture_output=True, text=True, check=True)
     return bool(proc.stdout.strip())
+
+
+def src_lines(root: str) -> int:
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "freeferm", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def record_workload(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -69,7 +79,8 @@ def main(argv=None) -> int:
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
-    record = {"label": args.label, "seed": args.seed, "seconds": seconds, "workloads": {}}
+    record = {"label": args.label, "seed": args.seed, "seconds": seconds,
+              "src_lines": src_lines(root), "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         entry = record_workload(root, workload, args.seed, seconds)
         record["workloads"][workload] = entry
