@@ -41,7 +41,7 @@ from typing import Union
 
 import numpy as np
 
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT as TOL
 
 __all__ = [
     "ZRot",
@@ -183,14 +183,14 @@ def _layer_action(letters: str) -> np.ndarray:
     return np.array(signs)
 
 
-def _assemble(n_qubits: int, rotations, signs, tol: Tolerances) -> GateProgram:
+def _assemble(n_qubits: int, rotations, signs) -> GateProgram:
     """Gates for the Givens rotations ``rotations`` followed by diag(``signs``).
 
     ``rotations`` yields (axis, theta) in time order, each the rotation
     [[cos t, -sin t], [sin t, cos t]] on axes (axis, axis + 1), which acts on
     qubits axis // 2 and (axis + 1) // 2. A rotation merges into the last one
     on those qubits when that has the same axis. Angles are wrapped into
-    [-pi, pi) and those below ``tol.rotation_cut`` dropped.
+    [-pi, pi) and those below ``TOL.rotation_cut`` dropped.
     """
     rots: list[list] = []  # [axis, theta]
     last_on_qubit = [-1] * n_qubits
@@ -206,13 +206,13 @@ def _assemble(n_qubits: int, rotations, signs, tol: Tolerances) -> GateProgram:
     gates: list[Gate] = []
     for axis, theta in rots:
         theta = (theta + np.pi) % (2 * np.pi) - np.pi
-        if abs(theta) >= tol.rotation_cut:
+        if abs(theta) >= TOL.rotation_cut:
             gates.append((XXRot if axis % 2 else ZRot)(axis // 2, theta))
     gates.append(PauliLayer(_layer_letters([1.0 if s > 0 else -1.0 for s in signs])))
     return GateProgram(n_qubits, tuple(gates))
 
 
-def _check_orthogonal(q: np.ndarray, tol: Tolerances):
+def _check_orthogonal(q: np.ndarray):
     q = np.asarray(q, dtype=float)
     dim = q.shape[0]
     if q.ndim != 2 or q.shape != (dim, dim) or dim % 2:
@@ -221,14 +221,14 @@ def _check_orthogonal(q: np.ndarray, tol: Tolerances):
     # too; numpy's warning on the way would print a second line under the CLI
     with np.errstate(invalid="ignore", over="ignore"):
         residual = np.max(np.abs(q @ q.T - np.eye(dim)))
-    if not residual <= tol.orthogonality:
+    if not residual <= TOL.orthogonality:
         if not np.isfinite(q).all():
             raise ValueError("input matrix has non-finite entries")
         raise ValueError("input matrix is not orthogonal")
     return q
 
 
-def compile_naive(q: np.ndarray, tol: Tolerances = DEFAULT) -> GateProgram:
+def compile_naive(q: np.ndarray) -> GateProgram:
     """Adjacent-axis Givens QR scheme: Q = D * G_L^T * ... * G_1^T.
 
     Eliminates Q^T column by column from the bottom; the residual diagonal
@@ -238,7 +238,7 @@ def compile_naive(q: np.ndarray, tol: Tolerances = DEFAULT) -> GateProgram:
     act on disjoint row pairs and are applied together with the arithmetic
     of the sequential loop, so every bit matches it.
     """
-    q = _check_orthogonal(q, tol)
+    q = _check_orthogonal(q)
     dim = q.shape[0]
     y = q.T.copy()
     angles = np.zeros((dim, dim))  # angles[i, j]: rotation zeroing y[i, j], where done
@@ -259,7 +259,7 @@ def compile_naive(q: np.ndarray, tol: Tolerances = DEFAULT) -> GateProgram:
         done[rows, cols] = True
     d = np.sign(np.diag(y))
     # bugs leave O(1) residue; honest roundoff stays far below this
-    if np.max(np.abs(y - np.diag(np.diag(y)))) > 1e-6:
+    if np.max(np.abs(y - np.diag(np.diag(y)))) > TOL.elimination_residual:
         raise ValueError("QR elimination failed to diagonalize the input")
     # sequential order: column j ascending, row i descending
     cols, flipped = np.nonzero(done.T[:, ::-1])
@@ -267,60 +267,42 @@ def compile_naive(q: np.ndarray, tol: Tolerances = DEFAULT) -> GateProgram:
     # one pair at a time: whole .tolist() lists raised the perfbench compile
     # round's peak RSS by 0.2 MB
     stream = ((i - 1, -theta) for i, theta in zip(map(int, rows), map(float, angles[rows, cols])))
-    return _assemble(dim // 2, stream, d, tol)
+    return _assemble(dim // 2, stream, d)
 
 
-def _right_eliminate(m: np.ndarray, blk_row: int, blk_col: int, rotations: list):
-    """Zero block (blk_row, blk_col) with column rotations on axes 2*blk_col..+3.
+def _eliminate(m: np.ndarray, steps, lower: bool, rotations: list):
+    """Per (a, col) of ``steps``: zero m[a+1, col] (``lower``) or m[a, col], rotating rows a, a+1.
 
-    Leaves the 2x4 band in the pattern [[0, 0, *, *], [0, 0, 0, *]].
+    An entry already zero is skipped. Each rotation appends (a, theta): the
+    row rotation when ``lower``, else the column rotation on axes (a, a + 1)
+    of the matrix whose transposed view m is.
     """
-    b0 = 2 * blk_col
-    r0, r1 = 2 * blk_row, 2 * blk_row + 1
-    for row, col in ((r1, b0), (r1, b0 + 1), (r1, b0 + 2), (r0, b0), (r0, b0 + 1)):
-        x, ynext = m[row, col], m[row, col + 1]
-        if x == 0.0:
+    for a, col in steps:
+        top, bottom = m[a, col], m[a + 1, col]
+        if (bottom if lower else top) == 0.0:
             continue
-        theta = atan2(-x, ynext)
+        theta = atan2(bottom, top) if lower else atan2(-top, bottom)
         c, s = cos(theta), sin(theta)
-        left = c * m[:, col] + s * m[:, col + 1]
-        right = -s * m[:, col] + c * m[:, col + 1]
-        m[:, col] = left
-        m[:, col + 1] = right
-        m[row, col] = 0.0
-        rotations.append((col, -theta))
+        upper = c * m[a] + s * m[a + 1]
+        m[a + 1] = -s * m[a] + c * m[a + 1]
+        m[a] = upper
+        m[a + 1 if lower else a, col] = 0.0
+        rotations.append((a, theta if lower else -theta))
 
 
-def _left_eliminate(m: np.ndarray, blk_row: int, blk_col: int, rotations: list):
-    """Zero block (blk_row, blk_col) with row rotations on axes 2*blk_row-2..+1.
-
-    Leaves the 4x2 band upper triangular.
-    """
-    a0 = 2 * blk_row - 2
-    c0, c1 = 2 * blk_col, 2 * blk_col + 1
-    for row, col in ((a0 + 3, c0), (a0 + 2, c0), (a0 + 1, c0), (a0 + 3, c1), (a0 + 2, c1)):
-        x, y = m[row - 1, col], m[row, col]
-        if y == 0.0:
-            continue
-        theta = atan2(y, x)
-        c, s = cos(theta), sin(theta)
-        upper = c * m[row - 1, :] + s * m[row, :]
-        lower = -s * m[row - 1, :] + c * m[row, :]
-        m[row - 1, :] = upper
-        m[row, :] = lower
-        m[row, col] = 0.0
-        rotations.append((row - 1, theta))
-
-
-def compile_blocked(q: np.ndarray, tol: Tolerances = DEFAULT) -> GateProgram:
+def compile_blocked(q: np.ndarray) -> GateProgram:
     """Two-sided 2x2-block elimination scheme.
 
     Sweeps anti-diagonals of the n x n block grid, alternating right
     (column) and left (row) eliminations, leaving a diagonal of signs plus
     one residual 2x2 corner block: top-left for even n, bottom-right for
-    odd n. The corner is closed with a single Givens rotation.
+    odd n. The corner is closed with a single Givens rotation. A right
+    elimination of the block at rows (r, r+1), columns (b, b+1) rotates
+    columns b..b+3, as rows of m.T, and leaves the 2x4 band [[0, 0, *, *],
+    [0, 0, 0, *]]; a left one rotates rows a..a+3 and leaves its 4x2 band
+    upper triangular.
     """
-    q = _check_orthogonal(q, tol)
+    q = _check_orthogonal(q)
     dim = q.shape[0]
     n = dim // 2
     m = q.copy()
@@ -328,12 +310,15 @@ def compile_blocked(q: np.ndarray, tol: Tolerances = DEFAULT) -> GateProgram:
     left: list = []
 
     for d in range(1, n):
-        if d % 2 == 1:
-            for j in range(d):
-                _right_eliminate(m, n - 1 - j, d - 1 - j, right)
-        else:
-            for j in range(d):
-                _left_eliminate(m, n - d + j, j, left)
+        for j in range(d):
+            if d % 2:
+                b, r = 2 * (d - 1 - j), 2 * (n - 1 - j)  # block (n-1-j, d-1-j)
+                steps = ((b, r + 1), (b + 1, r + 1), (b + 2, r + 1), (b, r), (b + 1, r))
+                _eliminate(m.T, steps, False, right)
+            else:
+                a, c = 2 * (n - d + j) - 2, 2 * j  # block (n-d+j, j)
+                steps = ((a + 2, c), (a + 1, c), (a, c), (a + 2, c + 1), (a + 1, c + 1))
+                _eliminate(m, steps, True, left)
 
     corner = 0 if n % 2 == 0 else n - 1
     ca = 2 * corner
@@ -350,7 +335,7 @@ def compile_blocked(q: np.ndarray, tol: Tolerances = DEFAULT) -> GateProgram:
 
     expected = np.diag(d_vec.copy())
     expected[ca:ca + 2, ca:ca + 2] = d_corner @ _givens_matrix(2, 0, theta_c)
-    if np.max(np.abs(m - expected)) > 1e-6:
+    if np.max(np.abs(m - expected)) > TOL.elimination_residual:
         raise ValueError("block elimination failed to reach the corner form")
 
     # time order: right factors, corner rotation, sign diagonal, then the left
@@ -358,7 +343,7 @@ def compile_blocked(q: np.ndarray, tol: Tolerances = DEFAULT) -> GateProgram:
     # multiplies its angle by d[a] * d[a+1]
     rotations = right + [(ca, theta_c)]
     rotations += [(a, (d_vec[a] * d_vec[a + 1]) * theta) for a, theta in reversed(left)]
-    return _assemble(n, rotations, d_vec, tol)
+    return _assemble(n, rotations, d_vec)
 
 
 def _apply_rotations(q: np.ndarray, gates, n_qubits: int) -> None:

@@ -118,7 +118,7 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
         if threads < 1:
             raise ValueError("threads must be >= 1")
         noise_model = _parse_noise(noise)
-        spec = symmetry_spec(modes, eta, auto_ancilla=True)
+        spec = symmetry_spec(modes, eta)
         os.makedirs(out, exist_ok=True)
     except (ValueError, MitigationError, OSError) as err:
         _fail("invalid-argument", str(err))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorana import MajoranaMonomial
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT as TOL
 
 __all__ = [
     "CovarianceMatrix",
@@ -59,21 +59,20 @@ def _check_antisymmetric(m: np.ndarray, tol: float, what: str):
 class CovarianceMatrix:
     """Validated wrapper around a 2n x 2n covariance matrix."""
 
-    def __init__(self, matrix, tol: Tolerances = DEFAULT, validate: bool = True):
+    def __init__(self, matrix, validate: bool = True):
         m = np.array(matrix, dtype=float)
         if validate:
-            _check_antisymmetric(m, tol.antisymmetry, "covariance matrix")
+            _check_antisymmetric(m, TOL.antisymmetry, "covariance matrix")
             evals = np.linalg.eigvalsh(-m @ m)
-            if evals.min() < -tol.state_validity or evals.max() > 1.0 + tol.state_validity:
+            if evals.min() < -TOL.state_validity or evals.max() > 1.0 + TOL.state_validity:
                 raise ValueError("covariance matrix does not describe a valid state")
         m.setflags(write=False)
         self.matrix = m
         self.n_modes = m.shape[0] // 2
-        self._tol = tol
 
     def is_pure(self) -> bool:
         m = self.matrix
-        return np.max(np.abs(m @ m.T - np.eye(2 * self.n_modes))) <= self._tol.purity
+        return np.max(np.abs(m @ m.T - np.eye(2 * self.n_modes))) <= TOL.purity
 
     def __repr__(self):
         return f"CovarianceMatrix(n_modes={self.n_modes})"
@@ -87,7 +86,7 @@ class QuadraticHamiltonian:
 
     def __post_init__(self):
         a = np.array(self.a_matrix, dtype=float)
-        _check_antisymmetric(a, 1e-10, "coefficient matrix")
+        _check_antisymmetric(a, TOL.hamiltonian_antisymmetry, "coefficient matrix")
         a.setflags(write=False)
         object.__setattr__(self, "a_matrix", a)
 
@@ -116,14 +115,14 @@ class CanonicalForm:
 class SlaterDeterminant:
     """Fixed-particle-number Gaussian state given by an n x eta isometry."""
 
-    def __init__(self, isometry, tol: Tolerances = DEFAULT):
+    def __init__(self, isometry):
         v = np.array(isometry, dtype=complex)
         if v.ndim != 2:
             raise ValueError("isometry must be a matrix")
         n, eta = v.shape
         if not 0 <= eta <= n:
             raise ValueError("particle count must lie in [0, n]")
-        if eta and np.max(np.abs(v.conj().T @ v - np.eye(eta))) > tol.isometry:
+        if eta and np.max(np.abs(v.conj().T @ v - np.eye(eta))) > TOL.isometry:
             raise ValueError("columns are not orthonormal")
         v.setflags(write=False)
         self.isometry = v
@@ -149,17 +148,17 @@ def fock_covariance(n_modes: int, occupied) -> CovarianceMatrix:
     return CovarianceMatrix(m, validate=False)
 
 
-def evolve(g: CovarianceMatrix, q: np.ndarray, tol: Tolerances = DEFAULT) -> CovarianceMatrix:
+def evolve(g: CovarianceMatrix, q: np.ndarray) -> CovarianceMatrix:
     """Covariance matrix after applying the Gaussian rotation attached to q."""
     q = np.asarray(q, dtype=float)
     if q.shape != g.matrix.shape:
         raise ValueError("rotation dimension mismatch")
-    if np.max(np.abs(q @ q.T - np.eye(q.shape[0]))) > tol.orthogonality:
+    if np.max(np.abs(q @ q.T - np.eye(q.shape[0]))) > TOL.orthogonality:
         raise ValueError("rotation matrix is not orthogonal")
-    return CovarianceMatrix(q @ g.matrix @ q.T, tol=tol, validate=False)
+    return CovarianceMatrix(q @ g.matrix @ q.T, validate=False)
 
 
-def canonical_form(h: QuadraticHamiltonian, tol: Tolerances = DEFAULT) -> CanonicalForm:
+def canonical_form(h: QuadraticHamiltonian) -> CanonicalForm:
     """Block-diagonalize an antisymmetric matrix with eps >= 0 sorted descending.
 
     Uses the real Schur decomposition (which is block diagonal for normal
@@ -171,7 +170,7 @@ def canonical_form(h: QuadraticHamiltonian, tol: Tolerances = DEFAULT) -> Canoni
     dim = a.shape[0]
     t, z = schur(a, output="real")
     scale = max(1.0, np.max(np.abs(a)))
-    blk_tol = 1e-12 * scale
+    blk_tol = TOL.schur_block * scale
 
     pairs = []   # (eps, col_a, col_b)
     singles = []
@@ -200,16 +199,16 @@ def canonical_form(h: QuadraticHamiltonian, tol: Tolerances = DEFAULT) -> Canoni
 
     form = CanonicalForm(q=q, eps=eps, det_sign=int(round(np.linalg.det(q))))
     recon = q @ form.lambda_matrix() @ q.T
-    if np.max(np.abs(recon - a)) > tol.reconstruction * scale:
+    if np.max(np.abs(recon - a)) > TOL.reconstruction * scale:
         raise ValueError("canonical form reconstruction failed")
     return form
 
 
-def spectrum(h: QuadraticHamiltonian, max_modes: int = 20) -> np.ndarray:
+def spectrum(h: QuadraticHamiltonian) -> np.ndarray:
     """Free spectrum {sum_p (-1)^{b_p} eps_p : b in {0,1}^n}, sorted ascending."""
     n = h.n_modes
-    if n > max_modes:
-        raise ValueError(f"refusing to materialize 2^{n} energies (guard {max_modes})")
+    if n > 20:
+        raise ValueError(f"refusing to materialize 2^{n} energies (guard 20)")
     eps = canonical_form(h).eps
     energies = np.zeros(1)
     for e in eps:
@@ -217,7 +216,7 @@ def spectrum(h: QuadraticHamiltonian, max_modes: int = 20) -> np.ndarray:
     return np.sort(energies)
 
 
-def pfaffian(a: np.ndarray, tol: Tolerances = DEFAULT) -> float:
+def pfaffian(a: np.ndarray) -> float:
     """Pfaffian of a real antisymmetric matrix via Parlett-Reid elimination.
 
     Uses partial pivoting on skew-symmetric Gauss transforms; O(k^3) flops,
@@ -232,7 +231,7 @@ def pfaffian(a: np.ndarray, tol: Tolerances = DEFAULT) -> float:
     if dim == 0:
         return 1.0
     scale = 1.0 + np.max(np.abs(a))
-    if np.max(np.abs(a + a.T)) > max(tol.antisymmetry, 1e-10 * scale):
+    if np.max(np.abs(a + a.T)) > max(TOL.antisymmetry, TOL.pfaffian_antisymmetry * scale):
         raise ValueError("pfaffian input is not antisymmetric")
     pf = 1.0
     for k in range(0, dim - 2, 2):
@@ -304,7 +303,7 @@ def k_rdm_element(d1: np.ndarray, p, q) -> complex:
     return complex(np.linalg.det(np.asarray(d1)[np.ix_(p, q)]))
 
 
-def embed_unitary(u: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+def embed_unitary(u: np.ndarray) -> np.ndarray:
     """Orthogonal image of an n x n unitary under the mode-pair embedding.
 
     Block (i, j) is [[Re u_ij, -Im u_ij], [Im u_ij, Re u_ij]]; the map is a
@@ -312,7 +311,7 @@ def embed_unitary(u: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
-    if u.shape != (n, n) or np.max(np.abs(u.conj().T @ u - np.eye(n))) > tol.orthogonality:
+    if u.shape != (n, n) or np.max(np.abs(u.conj().T @ u - np.eye(n))) > TOL.orthogonality:
         raise ValueError("input is not unitary")
     q = np.zeros((2 * n, 2 * n))
     q[0::2, 0::2] = u.real
@@ -344,21 +343,21 @@ def slater_covariance(s: SlaterDeterminant) -> CovarianceMatrix:
     return evolve(base, q)
 
 
-def _occupation_probability(entry, slack: float, prefix):
+def _occupation_probability(entry, prefix):
     """P(mode occupied) from the covariance entry M[2j, 2j+1], clamped to [0, 1].
 
     Conditioning divides by each outcome's probability, so rounding grows like
-    1 / prefix, the probability of the outcomes conditioned on so far; ``slack``
-    bounds how far the joint probability prefix * p1 may leave [0, prefix].
+    1 / prefix, the probability of the outcomes so far; ``TOL.prob_clamp`` bounds
+    how far the joint probability prefix * p1 may leave [0, prefix].
     """
-    p1 = 0.5 * (1.0 - entry)
+    p1, slack = 0.5 * (1.0 - entry), TOL.prob_clamp
     if np.any(prefix * p1 < -slack) or np.any(prefix * (p1 - 1.0) > slack):
         raise ValueError("conditional probability outside [0, 1] beyond slack")
     return np.clip(p1, 0.0, 1.0)
 
 
 def sample_bits(matrix: np.ndarray, perms: np.ndarray, signs: np.ndarray,
-                rng: np.random.Generator, tol: Tolerances = DEFAULT) -> np.ndarray:
+                rng: np.random.Generator) -> np.ndarray:
     """One computational-basis sample per rotated state, exactly by the Born rule.
 
     Snapshot s measures Q M Q^T for the signed permutation Q[u, v] =
@@ -394,7 +393,7 @@ def sample_bits(matrix: np.ndarray, perms: np.ndarray, signs: np.ndarray,
         if j:
             rows += np.swapaxes(scaled_a[:, :j, r], 1, 2) @ rows_b[:, :j, c]
             rows -= np.swapaxes(rows_b[:, :j, r], 1, 2) @ scaled_a[:, :j, c]
-        p1 = _occupation_probability(rows[:, 0, 1], tol.prob_clamp, prefix)
+        p1 = _occupation_probability(rows[:, 0, 1], prefix)
         bit = draws[:, j] < p1
         bits[:, j] = bit
         if j < n - 1:
@@ -407,7 +406,7 @@ def sample_bits(matrix: np.ndarray, perms: np.ndarray, signs: np.ndarray,
     return bits
 
 
-def measurement_distribution(g: CovarianceMatrix, tol: Tolerances = DEFAULT) -> np.ndarray:
+def measurement_distribution(g: CovarianceMatrix) -> np.ndarray:
     """Exact probability vector over all 2^n outcomes via chain-rule conditioning.
 
     Exponential cost; intended for validation at small n.
@@ -421,10 +420,10 @@ def measurement_distribution(g: CovarianceMatrix, tol: Tolerances = DEFAULT) -> 
         if mode == n:
             out[index] = prefix_prob
             return
-        p1 = _occupation_probability(m[2 * mode, 2 * mode + 1], tol.prob_clamp, prefix_prob)
+        p1 = _occupation_probability(m[2 * mode, 2 * mode + 1], prefix_prob)
         a, b = m[2 * mode], m[2 * mode + 1]
         for bit, pb in ((0, 1.0 - p1), (1, p1)):
-            if prefix_prob * pb <= tol.prob_clamp:
+            if prefix_prob * pb <= TOL.prob_clamp:
                 continue  # impossible within the slack, e.g. forbidden by parity
             # right-looking rank-two conditioning of the whole matrix
             m2 = m + (np.outer(a, b) - np.outer(b, a)) * ((1.0 if bit else -1.0) / (2.0 * pb))

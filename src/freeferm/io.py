@@ -6,6 +6,7 @@ every double survives a write/read cycle bit-exactly.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -14,6 +15,13 @@ from .partition import AnticommutingPartition, ElectronicIntegrals
 from .shadows import _colex_sets
 
 MATRIX_KINDS = ("covariance", "quadratic_hamiltonian", "orthogonal")
+
+
+def _size(value, field: str) -> int:
+    """A size read from a file: an integer >= 1 that is not a boolean, else ``ValueError``."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{field} must be an integer >= 1, found {value!r}")
+    return value
 
 
 def matrix_to_json(kind: str, matrix: np.ndarray) -> dict:
@@ -31,7 +39,7 @@ def matrix_from_json(obj: dict, expect_kind: str | None = None) -> tuple[str, np
         kind = obj.get("kind")
         if expect_kind is not None and kind != expect_kind:
             raise ValueError(f"expected a {expect_kind!r} matrix, found {kind!r}")
-        n = int(obj["n_modes"])
+        n = _size(obj["n_modes"], "n_modes")
         data = np.array(obj["data"], dtype=float)
     except (AttributeError, TypeError) as err:
         raise ValueError(f"malformed matrix file: {err}") from err
@@ -112,17 +120,20 @@ def integrals_to_json(ints: ElectronicIntegrals) -> dict:
 def _integrals_args(obj: dict) -> tuple[int, np.ndarray, np.ndarray]:
     """n, h1 and the (n, n, n, n) h2 tensor of an integrals file.
 
-    An ``h2`` index that is not four whole numbers in [0, n), or that occurs twice,
-    raises ``ValueError`` naming the first such item in file order.
+    An ``h2`` index that is not four integers in [0, n), or that occurs twice,
+    raises ``ValueError`` naming the first such item in file order; booleans and
+    floats are not integers here.
     """
     try:
-        n, h1 = int(obj["n"]), np.array(obj["h1"], dtype=float)
+        n, h1 = _size(obj["n"], "n"), np.array(obj["h1"], dtype=float)
         pqrs = [tuple(item["pqrs"]) for item in obj["h2"]]
         values = [float(item["value"]) for item in obj["h2"]]
         if h1.shape != (n, n):
             raise ValueError("one-body matrix must be n x n")
-        orbitals = set(range(n))
-        bad = next((idx for idx in pqrs if len(idx) != 4 or not orbitals.issuperset(idx)), None)
+        # True == 1 and 1.0 == 1 pass the set test, so the types are checked too
+        orbitals, whole = set(range(n)), {int}.issuperset(map(type, chain.from_iterable(pqrs)))
+        bad = next((idx for idx in pqrs if len(idx) != 4 or not orbitals.issuperset(idx)
+                    or not whole and {int} != set(map(type, idx))), None)
     except TypeError as err:
         raise ValueError(f"malformed integrals file: {err}") from err
     if bad is not None:

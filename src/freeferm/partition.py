@@ -25,7 +25,7 @@ from math import atan2, hypot, sqrt
 import numpy as np
 
 from .majorana import _sort_rows_with_parity
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT as TOL
 
 __all__ = [
     "ElectronicIntegrals",
@@ -56,7 +56,7 @@ def _first(mask: np.ndarray) -> tuple[int, ...]:
 class ElectronicIntegrals:
     """Read-only one-body (n, n) and two-body (n, n, n, n) integrals with the eightfold symmetry."""
 
-    def __init__(self, n: int, h1, h2, tol: Tolerances = DEFAULT):
+    def __init__(self, n: int, h1, h2):
         if n < 1:
             raise ValueError("orbital count must be positive")
         self.n = n
@@ -69,12 +69,12 @@ class ElectronicIntegrals:
         for name, h in (("one-body", h1), ("two-body", h2)):
             if not np.isfinite(h).all():
                 raise ValueError(f"{name} integral at {_first(~np.isfinite(h))} is not finite")
-        if np.max(np.abs(h1 - h1.T)) > tol.symmetry_check:
+        if np.max(np.abs(h1 - h1.T)) > TOL.symmetry_check:
             raise ValueError("one-body integrals must be symmetric")
         # every failing pair of images holds a nonzero entry, so one is named
         bad = np.zeros(h2.shape, dtype=bool)
         for perm in _EIGHTFOLD:
-            bad |= np.abs(np.transpose(h2, perm) - h2) > tol.symmetry_check
+            bad |= np.abs(np.transpose(h2, perm) - h2) > TOL.symmetry_check
         if bad.any():
             raise ValueError("two-body integrals violate permutational symmetry at "
                              f"{_first(bad & (h2 != 0.0))}")
@@ -143,7 +143,7 @@ def _quadratic_term(p: int, q: int) -> tuple[tuple[int, ...], float]:
     return (b, a), 1.0
 
 
-def majorana_form(ints: ElectronicIntegrals, tol: Tolerances = DEFAULT) -> MajoranaPolynomial:
+def majorana_form(ints: ElectronicIntegrals) -> MajoranaPolynomial:
     """Rewrite the ladder-operator Hamiltonian over canonical Majorana monomials.
 
     Each coefficient is summed in ascending index order, one term at a time.
@@ -177,7 +177,7 @@ def majorana_form(ints: ElectronicIntegrals, tol: Tolerances = DEFAULT) -> Major
     for idx, c in zip(map(tuple, sets.tolist()), weights.tolist()):
         poly.add(idx, c)
 
-    return poly.pruned(tol.coeff_prune)
+    return poly.pruned(TOL.coeff_prune)
 
 
 def _first_fit(candidates: list[tuple], groups: list[list[tuple]],
@@ -318,7 +318,7 @@ def rotation_plan(members: list[tuple[int, ...]], betas) -> RotationPlan:
         raise ValueError("all coefficients vanish")
     members = [members[i] for i in keep]
     betas = betas[keep]
-    if abs(np.sum(betas ** 2) - 1.0) > 1e-12:
+    if abs(np.sum(betas ** 2) - 1.0) > TOL.normalization:
         raise ValueError("coefficients must be l2-normalized")
     target = members[-1]
     if len(members) == 1:
@@ -344,6 +344,6 @@ def norms_report(poly: MajoranaPolynomial, partition: AnticommutingPartition) ->
     lam = float(poly.l1_norm)
     lam_c = float(sum(s.gamma for s in partition.sets))
     s_max = int(max(len(s.members) for s in partition.sets))
-    slack = 1e-9 * (1.0 + lam)
+    slack = TOL.norm_bounds * (1.0 + lam)
     bounds_ok = lam / sqrt(s_max) <= lam_c + slack and lam_c <= lam + slack
     return {"Lambda": lam, "Lambda_c": lam_c, "s_max": s_max, "bounds_ok": bool(bounds_ok)}

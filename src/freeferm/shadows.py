@@ -37,7 +37,7 @@ import numpy as np
 
 from .gaussian import CovarianceMatrix, sample_bits
 from .majorana import _sort_rows_with_parity
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT as TOL
 
 __all__ = [
     "ShadowAccumulator",
@@ -247,13 +247,12 @@ def sample_bound(epsilon: float, delta: float, n_observables: int,
     return ceil((1.0 + epsilon / 3.0) * ceil(base))
 
 
-def symmetry_spec(n: int, eta: int, auto_ancilla: bool = True,
-                  tol: Tolerances = DEFAULT) -> SymmetrySpec:
+def symmetry_spec(n: int, eta: int) -> SymmetrySpec:
     """Particle-number moments s2 = eta - n/2 and s4 = C(n,2)/2 - eta(n - eta).
 
-    When either moment vanishes (for example at half filling) and
-    ``auto_ancilla`` is set, one extra unoccupied mode is appended and the
-    moments recomputed; they are then always nonzero for n > 1.
+    When either moment vanishes (for example at half filling), one extra
+    unoccupied mode is appended and the moments recomputed; they are then
+    always nonzero for n > 1.
     """
     if not 0 <= eta <= n:
         raise ValueError("eta must lie in [0, n]")
@@ -265,15 +264,11 @@ def symmetry_spec(n: int, eta: int, auto_ancilla: bool = True,
 
     s2, s4 = moments(n)
     ancilla = False
-    if min(abs(s2), abs(s4)) < tol.mitigation_guard:
-        if not auto_ancilla:
-            raise MitigationError(
-                "symmetry moment vanishes for this filling; enable the ancilla mode"
-            )
+    if min(abs(s2), abs(s4)) < TOL.mitigation_guard:
         n = n + 1
         ancilla = True
         s2, s4 = moments(n)
-        if min(abs(s2), abs(s4)) < tol.mitigation_guard:
+        if min(abs(s2), abs(s4)) < TOL.mitigation_guard:
             raise MitigationError("symmetry moments vanish even with an ancilla")
     return SymmetrySpec(n_modes=n, eta=eta, s2=s2, s4=s4, ancilla_added=ancilla)
 
@@ -306,7 +301,7 @@ def _colex_sets(universe: int, size: int) -> np.ndarray:
     return np.fromiter(sets, dtype=np.int64).reshape(-1, size)[::-1, ::-1]
 
 
-def _symmetry_ratios(sectors: dict, spec: SymmetrySpec, tol: Tolerances) -> dict[int, float]:
+def _symmetry_ratios(sectors: dict, spec: SymmetrySpec) -> dict[int, float]:
     # the diagonal sets (2p, 2p+1) and (2p, 2p+1, 2q, 2q+1), p < q, in that order
     one, two = (np.array([[i for m in modes for i in (2 * m, 2 * m + 1)]
                           for modes in combinations(range(spec.n_modes), j)]).reshape(-1, 2 * j)
@@ -316,7 +311,7 @@ def _symmetry_ratios(sectors: dict, spec: SymmetrySpec, tol: Tolerances) -> dict
     s4_hat = 0.5 * sum(sectors[2][_colex_rank(two.T, 2 * spec.n_modes)].tolist())
     ratios = {1: s2_hat / spec.s2, 2: s4_hat / spec.s4}
     for k, r in ratios.items():
-        if abs(r) < tol.mitigation_guard:
+        if abs(r) < TOL.mitigation_guard:
             raise MitigationError(
                 f"measured symmetry ratio {r:.3e} in the degree-{2 * k} sector is too "
                 "close to zero; mitigation would divide by it"
@@ -324,7 +319,7 @@ def _symmetry_ratios(sectors: dict, spec: SymmetrySpec, tol: Tolerances) -> dict
     return ratios
 
 
-def mitigate(sectors: dict, spec: SymmetrySpec, tol: Tolerances = DEFAULT) -> dict:
+def mitigate(sectors: dict, spec: SymmetrySpec) -> dict:
     """Symmetry-adjusted estimates: divide each sector by its measured ratio.
 
     ``sectors`` holds the degree-2 and degree-4 sector arrays ({j: means in
@@ -333,7 +328,7 @@ def mitigate(sectors: dict, spec: SymmetrySpec, tol: Tolerances = DEFAULT) -> di
     """
     if any(key > 2 for key in sectors):
         raise ValueError("symmetry adjustment is defined for the one- and two-body sectors")
-    ratios = _symmetry_ratios(sectors, spec, tol)
+    ratios = _symmetry_ratios(sectors, spec)
     return {j: values / ratios[j] for j, values in sectors.items()}
 
 

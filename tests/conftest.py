@@ -106,9 +106,9 @@ def reference_first_fit(candidates, groups, n_modes):
     return groups
 
 
-def reference_compile_naive(q, tol=ff.DEFAULT):
+def reference_compile_naive(q):
     """The sequential Givens QR loop: what the wavefront ``compile_naive`` must match."""
-    y = _check_orthogonal(q, tol).T.copy()
+    y = _check_orthogonal(q).T.copy()
     dim = y.shape[0]
     rotations = []
     for j in range(dim - 1):
@@ -124,7 +124,7 @@ def reference_compile_naive(q, tol=ff.DEFAULT):
             y[i, :] = lower
             y[i, j] = 0.0
             rotations.append((i - 1, -theta))
-    return _assemble(dim // 2, rotations, np.sign(np.diag(y)), tol)
+    return _assemble(dim // 2, rotations, np.sign(np.diag(y)))
 
 
 def reference_layer_letters(signs):
@@ -144,7 +144,7 @@ def reference_layer_letters(signs):
     return letters
 
 
-def reference_assemble(n_qubits, primitives, tol=ff.DEFAULT):
+def reference_assemble(n_qubits, primitives):
     """A general interpreter of tagged primitives: what ``_assemble`` must match.
 
     A primitive is ("givens", axis, theta) or ("diag", signs), in time order,
@@ -181,7 +181,7 @@ def reference_assemble(n_qubits, primitives, tol=ff.DEFAULT):
     gates = []
     for axis, theta in rots:
         theta = (theta + np.pi) % (2 * np.pi) - np.pi
-        if abs(theta) < tol.rotation_cut:
+        if abs(theta) < ff.DEFAULT.rotation_cut:
             continue
         if axis % 2 == 0:
             gates.append(ZRot(axis // 2, theta))
@@ -192,10 +192,10 @@ def reference_assemble(n_qubits, primitives, tol=ff.DEFAULT):
     return GateProgram(n_qubits, tuple(gates))
 
 
-def stats_compare(q, tol=ff.DEFAULT):
+def stats_compare(q):
     """Compile both schemes and report counts, depths, and their ratios."""
-    naive = ff.compile_naive(q, tol).stats()
-    blocked = ff.compile_blocked(q, tol).stats()
+    naive = ff.compile_naive(q).stats()
+    blocked = ff.compile_blocked(q).stats()
     return {
         "naive": naive,
         "blocked": blocked,
@@ -283,7 +283,7 @@ def dense_hamiltonian(ints):
     return h
 
 
-def reference_majorana_form(ints, tol=ff.DEFAULT):
+def reference_majorana_form(ints):
     """Scalar loops over the integrals: what the array-built ``majorana_form`` must match."""
     n, h1, h2 = ints.n, ints.h1, ints.h2
     poly = ff.MajoranaPolynomial(n)
@@ -309,4 +309,4 @@ def reference_majorana_form(ints, tol=ff.DEFAULT):
         idx, parity = _sort_with_parity((2 * p, 2 * q, 2 * r + 1, 2 * s + 1))
         # the canonical quartic monomial carries (-i)^6 = -1 against the raw product
         poly.add(idx, (-1.0 if parity == 0 else 1.0) * coeff)
-    return poly.pruned(tol.coeff_prune)
+    return poly.pruned(ff.DEFAULT.coeff_prune)

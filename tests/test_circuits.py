@@ -317,7 +317,7 @@ def test_assemble_matches_tagged_interpreter():
     rng = np.random.default_rng(1405)
     for _ in range(3000):
         n, prims, rotations, signs = random_stream(rng)
-        got = _assemble(n, rotations, signs, ff.DEFAULT)
+        got = _assemble(n, rotations, signs)
         want = reference_assemble(n, prims)
         assert [repr(g) for g in got.gates] == [repr(g) for g in want.gates], prims
 

@@ -174,6 +174,20 @@ def test_compile_rejects_null_mode_count(runner, tmp_path):
     assert not (tmp_path / "prog.json").exists()
 
 
+@pytest.mark.parametrize("n_modes, data", [(1.7, [1.0, 0.0, 0.0, 1.0]), (True, [1.0, 0.0, 0.0, 1.0]),
+                                           (0, [])], ids=["float", "bool", "zero"])
+def test_compile_rejects_mode_count_that_is_not_a_size(runner, tmp_path, n_modes, data):
+    src = tmp_path / "q.json"
+    src.write_text(json.dumps({"kind": "orthogonal", "n_modes": n_modes, "data": data}))
+    res = runner.invoke(main, [
+        "compile", "--input", str(src), "--out", str(tmp_path / "prog.json"),
+    ])
+    assert res.exit_code != 0
+    assert res.output.strip().splitlines() == [
+        f"error:invalid-input: n_modes must be an integer >= 1, found {n_modes!r}"]
+    assert not (tmp_path / "prog.json").exists()
+
+
 @pytest.mark.filterwarnings("error")  # a numpy warning would print a second stderr line
 @pytest.mark.parametrize("scheme", ["naive", "blocked"])
 @pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -241,6 +255,9 @@ def test_partition_greedy_report(runner, tmp_path, rng):
     ([-1, 0, 0, 0], "bad two-body index (-1, 0, 0, 0)"),
     ([0, 2, 0, 0], "bad two-body index (0, 2, 0, 0)"),
     ([0, 0, 0], "bad two-body index (0, 0, 0)"),
+    ([0, True, True, 0], "bad two-body index (0, True, True, 0)"),
+    ([True, True, True, True], "bad two-body index (True, True, True, True)"),
+    ([1.0, 1, 1, 1], "bad two-body index (1.0, 1, 1, 1)"),
     ([0, 0, 0, 1], "two-body integrals violate permutational symmetry at (0, 0, 0, 1)"),
 ])
 def test_partition_rejects_bad_two_body_entry(runner, tmp_path, pqrs, message):
@@ -252,6 +269,19 @@ def test_partition_rejects_bad_two_body_entry(runner, tmp_path, pqrs, message):
     ])
     assert res.exit_code != 0
     assert res.output.strip().splitlines() == [f"error:invalid-input: {message}"]
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("n", [1.7, True, 0], ids=["float", "bool", "zero"])
+def test_partition_rejects_orbital_count_that_is_not_a_size(runner, tmp_path, n):
+    src = tmp_path / "ints.json"
+    src.write_text(json.dumps({"n": n, "h1": [[1.0]], "h2": [{"pqrs": [0, 0, 0, 0], "value": 0.5}]}))
+    res = runner.invoke(main, [
+        "partition", "--input", str(src), "--report", str(tmp_path / "report.json"),
+    ])
+    assert res.exit_code != 0
+    assert res.output.strip().splitlines() == [
+        f"error:invalid-input: n must be an integer >= 1, found {n!r}"]
     assert not (tmp_path / "report.json").exists()
 
 

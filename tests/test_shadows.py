@@ -272,8 +272,6 @@ def test_symmetry_spec_values():
     spec = ff.symmetry_spec(8, 4)
     assert spec.ancilla_added and spec.n_modes == 9
     assert spec.s2 == pytest.approx(-0.5)
-    with pytest.raises(ff.MitigationError):
-        ff.symmetry_spec(8, 4, auto_ancilla=False)
 
 
 def test_vacuum_number_moment():
