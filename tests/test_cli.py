@@ -255,10 +255,10 @@ def test_partition_greedy_report(runner, tmp_path, rng):
     ([-1, 0, 0, 0], "bad two-body index (-1, 0, 0, 0)"),
     ([0, 2, 0, 0], "bad two-body index (0, 2, 0, 0)"),
     ([0, 0, 0], "bad two-body index (0, 0, 0)"),
+    ([0, 0, 0, 1], "two-body integrals violate permutational symmetry at (0, 0, 0, 1)"),
     ([0, True, True, 0], "bad two-body index (0, True, True, 0)"),
     ([True, True, True, True], "bad two-body index (True, True, True, True)"),
     ([1.0, 1, 1, 1], "bad two-body index (1.0, 1, 1, 1)"),
-    ([0, 0, 0, 1], "two-body integrals violate permutational symmetry at (0, 0, 0, 1)"),
 ])
 def test_partition_rejects_bad_two_body_entry(runner, tmp_path, pqrs, message):
     src = tmp_path / "ints.json"
