@@ -42,6 +42,7 @@ from .shadows import (
 )
 
 CHUNK = 1000  # samples per counter-derived RNG stream
+SEEDS = range(2 ** 63)  # numpy reads a Philox key list of larger ints as float64
 
 
 def _fail(code: str, message: str, exit_code: int = 2):
@@ -109,6 +110,8 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
             raise ValueError("eta must lie in [0, modes]")
         if not 1 <= kmax <= modes:
             raise ValueError("kmax must lie in [1, modes]")
+        if seed not in SEEDS:
+            raise ValueError("seed must be >= 0" if seed < 0 else "seed must be < 2**63")
         if threads is None:
             env = os.environ.get("FREEFERM_THREADS", "1")
             try:
@@ -262,8 +265,8 @@ def cmd_verify(modes, seed):
     """Run the dense-oracle equivalence battery; exit 0 iff all checks pass."""
     if not 2 <= modes <= 5:
         _fail("invalid-argument", "verify supports 2 <= modes <= 5")
-    if seed < 0:
-        _fail("invalid-argument", "seed must be >= 0")
+    if seed not in SEEDS:
+        _fail("invalid-argument", "seed must be >= 0" if seed < 0 else "seed must be < 2**63")
     from . import oracle
 
     checks = oracle.battery(modes, seed)

@@ -4,8 +4,9 @@ A Gaussian state on n modes is fully described by its 2n x 2n real
 antisymmetric covariance matrix M with M_uv = <(-i/2)[g_u, g_v]>. All
 higher moments follow from pair correlators through Pfaffians, quadratic
 Hamiltonians diagonalize in O(n^3), and computational-basis measurement
-can be sampled exactly by conditioning the covariance matrix one mode at
-a time.
+conditions the covariance matrix one mode at a time. One kernel does that
+conditioning: ``sample_bits`` draws each outcome, ``measurement_distribution``
+forces every outcome string, and a joint probability <= ``prob_clamp`` is 0.
 
 Conventions
 -----------
@@ -343,33 +344,25 @@ def slater_covariance(s: SlaterDeterminant) -> CovarianceMatrix:
     return evolve(base, q)
 
 
-def _occupation_probability(entry, prefix):
-    """P(mode occupied) from the covariance entry M[2j, 2j+1], clamped to [0, 1].
+def _condition(matrix: np.ndarray, perms: np.ndarray, signs: np.ndarray,
+               draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measure Q M Q^T mode by mode for each row; return its bits and joint probability.
 
-    Conditioning divides by each outcome's probability, so rounding grows like
-    1 / prefix, the probability of the outcomes so far; ``TOL.prob_clamp`` bounds
-    how far the joint probability prefix * p1 may leave [0, prefix].
-    """
-    p1, slack = 0.5 * (1.0 - entry), TOL.prob_clamp
-    if np.any(prefix * p1 < -slack) or np.any(prefix * (p1 - 1.0) > slack):
-        raise ValueError("conditional probability outside [0, 1] beyond slack")
-    return np.clip(p1, 0.0, 1.0)
+    Row s rotates by the signed permutation Q[u, v] = signs[s, u] delta(perms[s, u], v);
+    ``matrix`` is the 2n x 2n M and ``perms``, ``signs`` are (size, 2n). Modes are
+    measured in ascending order, each conditioned on the outcomes before it by the
+    rank-two formula of Terhal and DiVincenzo (quant-ph/0108010). Bit j of row s is
+    ``draws[s, j] < p1``: a uniform draw samples it, -1 forces 1 and 2 forces 0.
+    The elimination is left-looking: step j gathers rows 2j and 2j+1 of Q M Q^T,
+    columns >= 2j, and adds the j earlier updates c_l (a_l[r] b_l - b_l[r] a_l) with
+    batched matmuls, so memory is two (size, n, 2n) buffers holding c_l a_l and b_l.
 
-
-def sample_bits(matrix: np.ndarray, perms: np.ndarray, signs: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-    """One computational-basis sample per rotated state, exactly by the Born rule.
-
-    Snapshot s measures Q M Q^T for the signed permutation Q[u, v] =
-    signs[s, u] delta(perms[s, u], v); ``matrix`` is the 2n x 2n M and
-    ``perms``, ``signs`` are (size, 2n). Modes are measured in ascending
-    order, each conditioned on the outcomes before it by the rank-two formula
-    of Terhal and DiVincenzo (quant-ph/0108010). The elimination is
-    left-looking: step j gathers rows 2j and 2j+1 of Q M Q^T, columns >= 2j,
-    and adds the j earlier updates c_l (a_l[r] b_l - b_l[r] a_l) with batched
-    matmuls. No rotated matrix is built; memory is two (size, n, 2n) buffers
-    holding c_l a_l and b_l. All uniform draws are taken first, as one
-    (size, n) block. Returns a (size, n) uint8 array.
+    Rounding grows like 1 / prefix, the probability of the outcomes so far, so
+    ``TOL.prob_clamp`` bounds how far prefix * p1 may leave [0, prefix] before
+    ``ValueError``; p1 is then clamped to [0, 1]. Only a forced outcome can have
+    probability 0, and it divides by 1 instead. A returned joint probability
+    <= ``TOL.prob_clamp`` is 0: the outcome is impossible within the slack, e.g.
+    forbidden by parity.
     """
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
         raise ValueError("matrix must be a square even-dimensional covariance")
@@ -378,13 +371,12 @@ def sample_bits(matrix: np.ndarray, perms: np.ndarray, signs: np.ndarray,
     if perms.size and (perms.min() < 0 or perms.max() >= matrix.shape[0]):
         raise ValueError("perms entries must lie in [0, 2n)")
     size, dim = perms.shape
-    n = dim // 2
+    n, slack = dim // 2, TOL.prob_clamp
     flat, base, sf = matrix.ravel(), perms.astype(np.intp) * dim, signs.astype(float)
     bits = np.empty((size, n), dtype=np.uint8)
-    draws = rng.random((size, n))
     scaled_a = np.empty((size, n, dim))  # row l: c_l a_l, valid from column 2l
     rows_b = np.empty((size, n, dim))    # row l: b_l, valid from column 2l
-    prefix = np.ones(size)
+    joint = np.ones(size)
     for j in range(n):
         r, c = slice(2 * j, 2 * j + 2), slice(2 * j, dim)
         rows = np.take(flat, base[:, r, None] + perms[:, None, c])
@@ -393,41 +385,44 @@ def sample_bits(matrix: np.ndarray, perms: np.ndarray, signs: np.ndarray,
         if j:
             rows += np.swapaxes(scaled_a[:, :j, r], 1, 2) @ rows_b[:, :j, c]
             rows -= np.swapaxes(rows_b[:, :j, r], 1, 2) @ scaled_a[:, :j, c]
-        p1 = _occupation_probability(rows[:, 0, 1], prefix)
+        p1 = 0.5 * (1.0 - rows[:, 0, 1])
+        if np.any(joint * p1 < -slack) or np.any(joint * (p1 - 1.0) > slack):
+            raise ValueError("conditional probability outside [0, 1] beyond slack")
+        np.clip(p1, 0.0, 1.0, out=p1)
         bit = draws[:, j] < p1
         bits[:, j] = bit
+        signed = np.where(bit, p1, p1 - 1.0)  # the outcome's probability, negated for bit 0
+        prob = np.abs(signed)
+        joint *= prob
         if j < n - 1:
-            # draws lie in [0, 1), so the drawn outcome has probability > 0
-            prob = np.where(bit, p1, 1.0 - p1)
-            np.multiply(rows[:, 0], (np.where(bit, 1.0, -1.0) / (2.0 * prob))[:, None],
-                        out=scaled_a[:, j, c])
+            signed[prob == 0.0] = 1.0
+            np.multiply(rows[:, 0], (0.5 / signed)[:, None], out=scaled_a[:, j, c])
             rows_b[:, j, c] = rows[:, 1]
-            prefix *= prob
-    return bits
+    joint[joint <= slack] = 0.0
+    return bits, joint
+
+
+def sample_bits(matrix: np.ndarray, perms: np.ndarray, signs: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """One computational-basis sample per rotated state, exactly by the Born rule.
+
+    Snapshot s measures Q M Q^T for the signed permutation of row s of ``perms``
+    and ``signs``, as ``_condition`` describes. All uniform draws are taken first,
+    as one (size, n) block. Returns a (size, n) uint8 array.
+    """
+    return _condition(matrix, perms, signs, rng.random((len(perms), len(matrix) // 2)))[0]
 
 
 def measurement_distribution(g: CovarianceMatrix) -> np.ndarray:
-    """Exact probability vector over all 2^n outcomes via chain-rule conditioning.
+    """Exact probability vector over all 2^n outcomes, mode 0 the most significant bit.
 
-    Exponential cost; intended for validation at small n.
+    One ``_condition`` call forces all 2^n outcome strings, so this runs the
+    arithmetic that ``sample_bits`` samples with. Exponential cost; intended for
+    validation at small n.
     """
     n = g.n_modes
     if n > 12:
         raise ValueError("refusing to enumerate more than 2^12 outcomes")
-    out = np.zeros(2 ** n)
-
-    def descend(m, mode, prefix_prob, index):
-        if mode == n:
-            out[index] = prefix_prob
-            return
-        p1 = _occupation_probability(m[2 * mode, 2 * mode + 1], prefix_prob)
-        a, b = m[2 * mode], m[2 * mode + 1]
-        for bit, pb in ((0, 1.0 - p1), (1, p1)):
-            if prefix_prob * pb <= TOL.prob_clamp:
-                continue  # impossible within the slack, e.g. forbidden by parity
-            # right-looking rank-two conditioning of the whole matrix
-            m2 = m + (np.outer(a, b) - np.outer(b, a)) * ((1.0 if bit else -1.0) / (2.0 * pb))
-            descend(m2, mode + 1, prefix_prob * pb, (index << 1) | bit)
-
-    descend(np.array(g.matrix, dtype=float), 0, 1.0, 0)
-    return out
+    outcomes = np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+    perms = np.broadcast_to(np.arange(2 * n), (2 ** n, 2 * n))
+    return _condition(g.matrix, perms, np.ones_like(perms), np.where(outcomes, -1.0, 2.0))[1]

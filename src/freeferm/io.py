@@ -166,7 +166,8 @@ def estimates_from_json(obj: dict) -> tuple[dict[int, np.ndarray], int, int]:
     Each degree the file holds must cover every ascending set of that degree
     below 2 n_modes, and no other key may occur, else ``ValueError``.
     """
-    n_modes, body = int(obj["n_modes"]), obj["estimates"]
+    n_modes, count = _size(obj["n_modes"], "n_modes"), _size(obj["count"], "count")
+    body = obj["estimates"]
     sectors = {}
     for degree in sorted({key.count(",") + 1 for key in body}):
         keys = [",".join(map(str, idx)) for idx in _colex_sets(2 * n_modes, degree).tolist()]
@@ -175,7 +176,7 @@ def estimates_from_json(obj: dict) -> tuple[dict[int, np.ndarray], int, int]:
         sectors[degree // 2] = np.array([body[key]["mean"] for key in keys], dtype=float)
     if sum(map(len, sectors.values())) != len(body):
         raise ValueError("estimates hold keys that are not ascending index sets")
-    return sectors, int(obj["count"]), n_modes
+    return sectors, count, n_modes
 
 
 def write_estimates(path, sectors: dict, count: int, n_modes: int) -> None:

@@ -16,9 +16,9 @@ from scipy.linalg import expm
 from . import dense
 from .circuits import compile_blocked, compile_naive, program_to_orthogonal
 from .dense import dense_unitary
-from .gaussian import (CovarianceMatrix, QuadraticHamiltonian, evolve, measurement_distribution,
-                       spectrum, vacuum_covariance, wick_expectation)
-from .majorana import MajoranaMonomial, SignedPermutation, multiply
+from .gaussian import (CovarianceMatrix, QuadraticHamiltonian, _condition, evolve,
+                       measurement_distribution, spectrum, vacuum_covariance, wick_expectation)
+from .majorana import MajoranaMonomial, multiply
 from .shadows import ShadowAccumulator, _colex_sets
 
 
@@ -84,22 +84,21 @@ def conjugation_deviation(program, q: np.ndarray) -> float:
 
 
 def channel_identity_deviation(cov: CovarianceMatrix) -> float:
-    """Born-weighted mean of the single-shot estimator over all of B(4) against Wick, n = 2."""
-    elements = [(perm, signs) for perm in permutations(range(4))
-                for signs in product((1, -1), repeat=4)]
+    """Born-weighted mean of the single-shot estimator over all of B(4) against Wick, n = 2.
+
+    The outcome probabilities come from ``sample_bits``'s kernel, gather included.
+    """
+    elements = np.array([(perm, signs) for perm in permutations(range(4))
+                         for signs in product((1, -1), repeat=4)])
+    perms, signs = np.repeat(elements, 4, axis=0).transpose(1, 0, 2)
+    forced = np.tile([[2.0, 2.0], [2.0, -1.0], [-1.0, 2.0], [-1.0, -1.0]], (len(elements), 1))
+    bits, probs = _condition(cov.matrix, perms, signs, forced)
     weighted = {1: np.zeros(6), 2: np.zeros(1)}
-    for perm, signs in elements:
-        mat = SignedPermutation(2, perm, signs).matrix()
-        rotated = CovarianceMatrix(mat @ cov.matrix @ mat.T, validate=False)
-        probs = measurement_distribution(rotated)
-        for z in range(4):
-            if probs[z] == 0.0:
-                continue
-            single = ShadowAccumulator(2, 2)
-            single.add_batch(np.array([perm]), np.array([signs]),
-                             np.array([[z >> 1, z & 1]], dtype=np.uint8))
-            for j, (_, _, lam_inv) in enumerate(single.frame, start=1):
-                weighted[j] += probs[z] * (lam_inv * single.signed[j])
+    for row in np.flatnonzero(probs):
+        single = ShadowAccumulator(2, 2)
+        single.add_batch(perms[row, None], signs[row, None], bits[row, None])
+        for j, (_, _, lam_inv) in enumerate(single.frame, start=1):
+            weighted[j] += probs[row] * (lam_inv * single.signed[j])
     deviations = []
     for j in weighted:
         for rank, idx in enumerate(_colex_sets(4, 2 * j).tolist()):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,35 @@ def test_shadow_sim_rejects_bad_thread_variable(runner, tmp_path, monkeypatch, v
     ])
     assert result.exit_code != 0
     assert result.output.strip().splitlines() == [f"error:invalid-argument: {message}"]
+
+
+SEED_ERRORS = [("-3", "seed must be >= 0"), (str(2 ** 63), "seed must be < 2**63"),
+               (str(2 ** 64), "seed must be < 2**63")]
+
+
+@pytest.mark.parametrize("seed, message", SEED_ERRORS)
+def test_shadow_sim_rejects_seed_outside_int64(runner, tmp_path, seed, message):
+    # a Philox key list holding an int >= 2**63 becomes float64, so such seeds collided
+    result = runner.invoke(main, [
+        "shadow-sim", "--modes", "2", "--eta", "1", "--samples", "100", "--seed", seed,
+        "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 2
+    assert result.output.strip().splitlines() == [f"error:invalid-argument: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_shadow_sim_largest_seeds_stay_distinct(runner, tmp_path):
+    estimates = []
+    for seed in (2 ** 63 - 2, 2 ** 63 - 1):
+        out = tmp_path / str(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["shadow-sim", "--modes", "2", "--eta", "1",
+                                          "--samples", "100", "--seed", str(seed), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        estimates.append((out / "estimates.json").read_bytes())
+    assert estimates[0] != estimates[1]
 
 
 def test_shadow_sim_outputs_and_determinism(runner, tmp_path):
@@ -361,6 +391,14 @@ def test_verify_rejects_negative_seed(runner):
     res = runner.invoke(main, ["verify", "--seed", "-1"])
     assert res.exit_code == 2
     assert res.output.strip().splitlines() == ["error:invalid-argument: seed must be >= 0"]
+
+
+@pytest.mark.parametrize("seed, message", SEED_ERRORS[1:])
+def test_verify_rejects_seed_outside_int64(runner, seed, message):
+    # the same rule as shadow-sim's; -3 is test_verify_rejects_negative_seed's case
+    res = runner.invoke(main, ["verify", "--modes", "2", "--seed", seed])
+    assert res.exit_code == 2
+    assert res.output.strip().splitlines() == [f"error:invalid-argument: {message}"]
 
 
 def _phase_flipped(a, b):

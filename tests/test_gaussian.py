@@ -9,6 +9,7 @@ import freeferm as ff
 from freeferm import dense, oracle
 from freeferm.gaussian import (
     _complete_isometry,
+    _condition,
     measurement_distribution,
     slater_covariance,
 )
@@ -426,12 +427,45 @@ def test_sampling_raises_through_permutation(rng):
                 sampler(m, perms, signs, rng)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+def _outcomes(n):
+    """Every n-bit outcome string, mode 0 the most significant bit, as forced draws."""
+    bits = np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+    return bits, np.where(bits, -1.0, 2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_measurement_distribution_matches_dense(n, rng):
     for _ in range(5):
         cov, psi = random_pure_state(n, rng)
         assert oracle.born_deviation(cov, psi) < 1e-10
-        assert abs(measurement_distribution(cov).sum() - 1.0) < 1e-12
+        dist = measurement_distribution(cov)
+        assert abs(dist.sum() - 1.0) < 1e-12
+        # rotated from the vacuum, the state has even parity: odd outcomes are exactly 0
+        assert (dist[dense.born_distribution(psi) == 0.0] == 0.0).all()
+    # a Fock state forces outcomes of probability exactly 0, which must not divide by 0
+    bits, _ = _outcomes(n)
+    for row in rng.choice(2 ** n, size=min(4, 2 ** n), replace=False):
+        with np.errstate(all="raise"):
+            dist = measurement_distribution(ff.fock_covariance(n, np.flatnonzero(bits[row])))
+        assert np.array_equal(dist, dense.born_distribution(dense.fock_state(n, bits[row])))
+
+
+def test_condition_gathers_like_the_rotated_matrix(rng):
+    # forced through random signed permutations, the kernel's joint probabilities
+    # equal the distribution of the explicitly rotated covariance, bit for bit
+    for n in range(1, 6):
+        bits, forced = _outcomes(n)
+        fock = ff.fock_covariance(n, np.flatnonzero(rng.integers(0, 2, n)))
+        for cov in (random_mixed_covariance(n, rng), random_pure_state(n, rng)[0], fock):
+            perms = np.array([rng.permutation(2 * n) for _ in range(6)])
+            signs = rng.choice(np.array([-1, 1], np.int8), size=perms.shape)
+            rows = (np.repeat(perms, 2 ** n, axis=0), np.repeat(signs, 2 ** n, axis=0))
+            got, joint = _condition(cov.matrix, *rows, np.tile(forced, (6, 1)))
+            assert (got == np.tile(bits, (6, 1))).all()
+            for perm, sign, probs in zip(perms, signs, joint.reshape(6, 2 ** n)):
+                q = ff.SignedPermutation(n, tuple(perm), tuple(sign)).matrix()
+                rotated = ff.CovarianceMatrix(q @ cov.matrix @ q.T, validate=False)
+                assert np.array_equal(probs, measurement_distribution(rotated)), n
 
 
 def test_conditioning_slack_scales_with_prefix_probability():

@@ -128,6 +128,19 @@ def test_estimates_from_json_rejects_missing_set(tmp_path, rng):
         io.estimates_from_json(obj)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_modes", 1.9), ("n_modes", True), ("n_modes", 0), ("count", 2.5), ("count", True),
+])
+def test_estimates_from_json_rejects_size_that_is_not_an_integer(tmp_path, field, value):
+    # int() read {"n_modes": 1.9, "count": 2.5} as (1, 2) and true as 1
+    path = tmp_path / "est.json"
+    io.write_estimates(path, {1: np.zeros(1)}, 3, 1)
+    obj = json.loads(path.read_text())
+    obj[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, found {value!r}"):
+        io.estimates_from_json(obj)
+
+
 def test_sample_writer(tmp_path):
     perms = np.array([[2, 0, 3, 1], [0, 1, 2, 3], [3, 2, 1, 0]])
     signs = np.array([[1, -1, 1, 1], [1, 1, 1, 1], [-1, -1, 1, -1]], dtype=np.int8)

@@ -20,6 +20,17 @@ checkouts are always measured for the same time. The result goes to
 ``--out``, by default ``BENCH_<label>.json`` at the root of that checkout.
 Workloads run one after another, one process at a time, as perfbench
 requires.
+
+After the workloads it records two end-to-end figures of the checkout:
+
+* ``tier1``: the wall time of one run of its Tier-1 suite (``python -m
+  pytest -q --continue-on-collection-errors``), its exit code and the counts
+  of its summary line (``passed``, ``failed``, ...);
+* ``shadow_sim``: snapshots per second of ``freeferm shadow-sim`` at
+  n = 8, 16 and 24 (eta = n / 4, kmax 1, no noise, 10,000 snapshots, one
+  thread), from the median of three runs. Each run times the command inside
+  a fresh process, so interpreter start and imports (the workloads'
+  ``setup_s``) are left out.
 """
 from __future__ import annotations
 
@@ -27,8 +38,22 @@ import argparse
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import time
+
+SHADOW_SIM_MODES = (8, 16, 24)
+SHADOW_SIM_SAMPLES = 10_000
+SHADOW_SIM_RUNS = 3  # the recorded rate is the median run's
+# runs one shadow-sim command in-process and prints its wall time in seconds
+SHADOW_SIM_TIMER = """import sys, time
+from freeferm.cli import main
+start = time.perf_counter()
+main(sys.argv[1:], standalone_mode=False)
+print(time.perf_counter() - start)
+"""
 
 
 def src_dirty(root: str) -> bool:
@@ -67,6 +92,38 @@ def record_workload(root: str, workload: str, seed: int, seconds: float) -> dict
     }
 
 
+def tier1(root: str) -> dict:
+    start = time.perf_counter()
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "-p", "no:cacheprovider"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {word: int(number) for number, word in re.findall(r"(\d+) (\w+)", summary)}
+    if not counts:
+        raise RuntimeError(f"pytest exited {proc.returncode} without a summary: "
+                           f"{proc.stderr.strip()}")
+    return {"wall_s": wall, "exit_code": proc.returncode, **counts}
+
+
+def shadow_sim_rate(root: str, n: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    seconds = []
+    for _ in range(SHADOW_SIM_RUNS):
+        with tempfile.TemporaryDirectory() as out:
+            cmd = [sys.executable, "-c", SHADOW_SIM_TIMER, "shadow-sim", "--modes", str(n),
+                   "--eta", str(n // 4), "--samples", str(SHADOW_SIM_SAMPLES), "--kmax", "1",
+                   "--seed", "1", "--threads", "1", "--out", out]
+            proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"shadow-sim at n = {n} exited {proc.returncode}: "
+                               f"{proc.stderr.strip()}")
+        seconds.append(float(proc.stdout.strip().splitlines()[-1]))
+    median = sorted(seconds)[SHADOW_SIM_RUNS // 2]
+    return {"samples": SHADOW_SIM_SAMPLES, "seconds": seconds,
+            "snapshots_per_s": SHADOW_SIM_SAMPLES / median}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
@@ -87,6 +144,11 @@ def main(argv=None) -> int:
         figures = ", ".join(f"{name} {m['value']:.4g} {m['unit']}"
                             for name, m in entry["metrics"].items())
         print(f"{workload}: {figures} ({entry['metadata']['rounds']} rounds)", flush=True)
+    record["shadow_sim"] = {str(n): shadow_sim_rate(root, n) for n in SHADOW_SIM_MODES}
+    print("shadow-sim snapshots/s: " + ", ".join(
+        f"n = {n} {entry['snapshots_per_s']:.0f}" for n, entry in record["shadow_sim"].items()))
+    record["tier1"] = tier1(root)
+    print(f"tier-1: {record['tier1']}", flush=True)
     out = args.out or os.path.join(root, f"BENCH_{args.label}.json")
     with open(out, "w") as fh:
         json.dump(record, fh, indent=1)
