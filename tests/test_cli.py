@@ -86,8 +86,8 @@ def test_shadow_sim_largest_seeds_stay_distinct(runner, tmp_path):
         out = tmp_path / str(seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = runner.invoke(main, ["shadow-sim", "--modes", "2", "--eta", "1",
-                                          "--samples", "100", "--seed", str(seed), "--out", str(out)])
+            result = runner.invoke(main, ["shadow-sim", "--modes", "2", "--eta", "1", "--samples",
+                                          "100", "--seed", str(seed), "--out", str(out)])
         assert result.exit_code == 0, result.output
         estimates.append((out / "estimates.json").read_bytes())
     assert estimates[0] != estimates[1]
