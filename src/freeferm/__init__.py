@@ -60,9 +60,6 @@ from .shadows import (
 )
 from .circuits import (
     GateProgram,
-    PauliLayer,
-    XXRot,
-    ZRot,
     compile_blocked,
     compile_naive,
     program_to_orthogonal,

@@ -14,13 +14,14 @@ XX rotation, one layer of Pauli gates}. Two schemes are provided:
 Either scheme hands ``_assemble`` one stream of adjacent-axis Givens
 rotations in time order and the one sign diagonal that ends the program. A
 rotation merges into the last rotation on its qubits when that one has the
-same axis; the diagonal becomes the trailing Pauli layer.
+same axis. A ``GateProgram`` holds the axes and the angles as arrays, and the
+diagonal as the letters of the Pauli layer, which acts last.
 
-Gate conventions (Heisenberg action U^dag g_u U = sum_v O_uv g_v):
-* ZRot(p, t)  = exp(-i t Z_p / 2)        acts as Givens(t) on axes (2p, 2p+1)
-* XXRot(p, t) = exp(-i t X_p X_{p+1}/2)  acts as Givens(t) on axes (2p+1, 2p+2)
-* PauliLayer(P) acts as diag(+-1), -1 on each axis whose generator
-  anticommutes with P.
+Conventions (Heisenberg action U^dag g_u U = sum_v O_uv g_v), by JSON kind:
+* axis 2p,   "zrot"  exp(-i t Z_p / 2):        Givens(t) on axes (2p, 2p+1)
+* axis 2p+1, "xxrot" exp(-i t X_p X_{p+1}/2):  Givens(t) on axes (2p+1, 2p+2)
+* "pauli" P acts as diag(+-1), -1 on each axis whose generator anticommutes
+  with P.
 
 ``program_to_orthogonal`` composes these actions to recover Q without any
 dense simulation, which is the compiler's verifier.
@@ -28,52 +29,27 @@ dense simulation, which is the compiler's verifier.
 Both hot loops run one layer of disjoint rotations at a time. The naive
 elimination zeroes entry (i, j) of Q^T at wavefront step t = dim-1-i+2j, so
 about 2*dim steps replace dim^2/2 single rotations. The recomposition
-applies each depth layer of ``GateProgram.stats()`` as one gathered two-row
-update, with the Pauli layer as a barrier. Every row sees the same
-floating-point operations in the same order as in the sequential loops, so
-programs and recomposed matrices are bit-identical to theirs.
+applies each depth layer that ``GateProgram.stats()`` counts as one gathered
+two-row update, then the Pauli layer. Every row sees the same floating-point
+operations in the same order as in the sequential loops, so programs and
+recomposed matrices are bit-identical to theirs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import atan2, cos, sin
-from typing import Union
 
 import numpy as np
 
 from .tolerances import DEFAULT as TOL
 
 __all__ = [
-    "ZRot",
-    "XXRot",
-    "PauliLayer",
-    "Gate",
     "ProgramStats",
     "GateProgram",
     "compile_naive",
     "compile_blocked",
     "program_to_orthogonal",
 ]
-
-
-@dataclass(frozen=True)
-class ZRot:
-    qubit: int
-    theta: float
-
-
-@dataclass(frozen=True)
-class XXRot:
-    qubit: int  # acts on (qubit, qubit + 1)
-    theta: float
-
-
-@dataclass(frozen=True)
-class PauliLayer:
-    letters: str
-
-
-Gate = Union[ZRot, XXRot, PauliLayer]
 
 
 @dataclass(frozen=True)
@@ -87,70 +63,61 @@ class ProgramStats:
         return self.one_qubit_count + self.two_qubit_count
 
 
-def _gate_support(gate: Gate) -> tuple[int, ...]:
-    if isinstance(gate, ZRot):
-        return (gate.qubit,)
-    if isinstance(gate, XXRot):
-        return (gate.qubit, gate.qubit + 1)
-    return tuple(i for i, c in enumerate(gate.letters) if c != "I")
+def _layering(axes: np.ndarray, n_qubits: int) -> tuple[list[int], list[int]]:
+    """Depth layer of each rotation, and per qubit the layer count up to its last rotation.
 
-
-def _layers(gates, n_qubits: int) -> list[list[Gate]]:
-    """Gates grouped by depth layer, in time order within each layer.
-
-    A gate joins the layer after the last one holding a gate on any of its
-    qubits, so the gates of one layer act on disjoint qubits and hence on
-    disjoint axis pairs. Gates with empty support join no layer.
+    Rotation k acts on qubits axes[k] // 2 and (axes[k] + 1) // 2 and joins the
+    layer after the last one holding either, so one layer acts on disjoint axes.
     """
     frontier = [0] * n_qubits
-    layers: list[list[Gate]] = []
-    for g in gates:
-        support = _gate_support(g)
-        if not support:
-            continue
-        layer = max(frontier[q] for q in support)
-        if layer == len(layers):
-            layers.append([])
-        layers[layer].append(g)
-        for q in support:
-            frontier[q] = layer + 1
-    return layers
+    layer_of = []
+    for a in axes.tolist():
+        lo, hi = a // 2, (a + 1) // 2
+        layer = max(frontier[lo], frontier[hi])
+        frontier[lo] = frontier[hi] = layer + 1
+        layer_of.append(layer)
+    return layer_of, frontier
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateProgram:
-    """Time-ordered gate list; the first gate acts on the state first."""
+    """Givens rotations in time order, then one Pauli layer.
+
+    Rotation k turns the Majorana axes (axes[k], axes[k] + 1) by thetas[k]: an
+    even axis 2p is a Z rotation on qubit p, an odd axis 2p + 1 an XX rotation
+    on qubits p and p + 1. The arrays are stored as read-only int64 and float64 copies.
+    """
 
     n_qubits: int
-    gates: tuple[Gate, ...]
+    axes: np.ndarray
+    thetas: np.ndarray
+    letters: str
 
     def __post_init__(self):
-        layers = sum(isinstance(g, PauliLayer) for g in self.gates)
-        if layers > 1:
-            raise ValueError("a program carries at most one Pauli layer")
-        for g in self.gates:
-            if isinstance(g, XXRot) and not 0 <= g.qubit < self.n_qubits - 1:
-                raise ValueError("XX rotation must act on adjacent qubits in range")
-            if isinstance(g, ZRot) and not 0 <= g.qubit < self.n_qubits:
-                raise ValueError("Z rotation qubit out of range")
-            if isinstance(g, PauliLayer) and len(g.letters) != self.n_qubits:
-                raise ValueError("Pauli layer length mismatch")
+        axes, thetas = np.asarray(self.axes), np.array(self.thetas, dtype=float)
+        if axes.ndim != 1 or axes.shape != thetas.shape:
+            raise ValueError("axes and thetas must be vectors of one length")
+        if axes.size and (axes.dtype.kind not in "iu" or axes.min() < 0
+                          or axes.max() >= 2 * self.n_qubits - 1):
+            raise ValueError("rotation axes must be integers in [0, 2 n_qubits - 1)")
+        if type(self.letters) is not str or len(self.letters) != self.n_qubits \
+                or not set(self.letters) <= set("IXYZ"):
+            raise ValueError("Pauli layer must be n_qubits letters from IXYZ")
+        for name, value in (("axes", axes.astype(np.int64)), ("thetas", thetas)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return (isinstance(other, GateProgram) and self.n_qubits == other.n_qubits
+                and self.letters == other.letters and np.array_equal(self.axes, other.axes)
+                and np.array_equal(self.thetas, other.thetas))
 
     def stats(self) -> ProgramStats:
-        ones = sum(isinstance(g, ZRot) for g in self.gates)
-        twos = sum(isinstance(g, XXRot) for g in self.gates)
-        depth = len(_layers(self.gates, self.n_qubits))
-        return ProgramStats(ones, twos, depth)
-
-
-def _givens_matrix(dim: int, axis: int, theta: float) -> np.ndarray:
-    g = np.eye(dim)
-    c, s = cos(theta), sin(theta)
-    g[axis, axis] = c
-    g[axis + 1, axis + 1] = c
-    g[axis, axis + 1] = -s
-    g[axis + 1, axis] = s
-    return g
+        """Counts and depth; the Pauli layer adds a depth layer where it acts after the last one."""
+        twos = int(np.count_nonzero(self.axes % 2))
+        _, frontier = _layering(self.axes, self.n_qubits)
+        pauli = [f + 1 for f, letter in zip(frontier, self.letters) if letter != "I"]
+        return ProgramStats(len(self.axes) - twos, twos, max(frontier + pauli, default=0))
 
 
 def _layer_letters(signs) -> str:
@@ -184,7 +151,7 @@ def _layer_action(letters: str) -> np.ndarray:
 
 
 def _assemble(n_qubits: int, rotations, signs) -> GateProgram:
-    """Gates for the Givens rotations ``rotations`` followed by diag(``signs``).
+    """The program of the Givens rotations ``rotations`` followed by diag(``signs``).
 
     ``rotations`` yields (axis, theta) in time order, each the rotation
     [[cos t, -sin t], [sin t, cos t]] on axes (axis, axis + 1), which acts on
@@ -203,13 +170,11 @@ def _assemble(n_qubits: int, rotations, signs) -> GateProgram:
             last_on_qubit[lo] = last_on_qubit[hi] = len(rots)
             rots.append([axis, theta])
 
-    gates: list[Gate] = []
-    for axis, theta in rots:
-        theta = (theta + np.pi) % (2 * np.pi) - np.pi
-        if abs(theta) >= TOL.rotation_cut:
-            gates.append((XXRot if axis % 2 else ZRot)(axis // 2, theta))
-    gates.append(PauliLayer(_layer_letters([1.0 if s > 0 else -1.0 for s in signs])))
-    return GateProgram(n_qubits, tuple(gates))
+    axes = np.array([axis for axis, _ in rots], dtype=np.int64)
+    thetas = (np.array([theta for _, theta in rots], dtype=float) + np.pi) % (2 * np.pi) - np.pi
+    keep = np.abs(thetas) >= TOL.rotation_cut
+    letters = _layer_letters([1.0 if s > 0 else -1.0 for s in signs])
+    return GateProgram(n_qubits, axes[keep], thetas[keep], letters)
 
 
 def _check_orthogonal(q: np.ndarray):
@@ -334,7 +299,8 @@ def compile_blocked(q: np.ndarray) -> GateProgram:
     d_vec[ca + 1] = d_corner[1, 1]
 
     expected = np.diag(d_vec.copy())
-    expected[ca:ca + 2, ca:ca + 2] = d_corner @ _givens_matrix(2, 0, theta_c)
+    expected[ca:ca + 2, ca:ca + 2] = d_corner @ [[cos(theta_c), -sin(theta_c)],
+                                                 [sin(theta_c), cos(theta_c)]]
     if np.max(np.abs(m - expected)) > TOL.elimination_residual:
         raise ValueError("block elimination failed to reach the corner form")
 
@@ -346,30 +312,23 @@ def compile_blocked(q: np.ndarray) -> GateProgram:
     return _assemble(n, rotations, d_vec)
 
 
-def _apply_rotations(q: np.ndarray, gates, n_qubits: int) -> None:
-    """Apply rotation gates to the rows of q, one gathered update per depth layer."""
-    for layer in _layers(gates, n_qubits):
-        axes = np.array([2 * g.qubit + isinstance(g, XXRot) for g in layer])
-        c = np.array([cos(g.theta) for g in layer])[:, None]
-        s = np.array([sin(g.theta) for g in layer])[:, None]
+def program_to_orthogonal(p: GateProgram) -> np.ndarray:
+    """Compose the rotations and the Pauli layer on the Majorana axes to recover Q.
+
+    The rotations of one depth layer act on disjoint axis pairs, so each layer
+    is one gathered two-row update with the arithmetic of a rotation-by-rotation
+    product: every row sees the same operations in the same order. The angles
+    go through ``math.cos`` and ``math.sin``, whose results do not depend on
+    the CPU's SIMD paths as numpy's may.
+    """
+    q = np.eye(2 * p.n_qubits)
+    thetas = p.thetas.tolist()
+    cosines, sines = np.array([cos(t) for t in thetas]), np.array([sin(t) for t in thetas])
+    layer_of, _ = _layering(p.axes, p.n_qubits)
+    order = np.argsort(layer_of, kind="stable")
+    for k in np.split(order, np.cumsum(np.bincount(layer_of))[:-1]):
+        axes, c, s = p.axes[k], cosines[k, None], sines[k, None]
         upper, lower = q[axes], q[axes + 1]
         q[axes] = c * upper - s * lower
         q[axes + 1] = s * upper + c * lower
-
-
-def program_to_orthogonal(p: GateProgram) -> np.ndarray:
-    """Compose gate actions on the Majorana axes to recover the rotation.
-
-    Gates of one depth layer act on disjoint axis pairs, so each layer is one
-    gathered two-row update, with the arithmetic of a gate-by-gate product:
-    every row sees the same operations in the same order. The Pauli layer
-    flips axes on qubits outside its support too, so it splits the program
-    in two, each part layered on its own.
-    """
-    q = np.eye(2 * p.n_qubits)
-    cut = next((k for k, g in enumerate(p.gates) if isinstance(g, PauliLayer)), len(p.gates))
-    _apply_rotations(q, p.gates[:cut], p.n_qubits)
-    if cut < len(p.gates):
-        q *= _layer_action(p.gates[cut].letters)[:, None]
-        _apply_rotations(q, p.gates[cut + 1:], p.n_qubits)
-    return q
+    return q * _layer_action(p.letters)[:, None]

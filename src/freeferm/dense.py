@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateProgram, XXRot, ZRot
+from .circuits import GateProgram
 from .majorana import MajoranaMonomial, _coerce_bits
 
 MAX_DENSE_MODES = 12
@@ -192,14 +192,7 @@ def dense_unitary(p: GateProgram) -> np.ndarray:
     _guard(p.n_qubits)
     dim = 2 ** p.n_qubits
     u = np.eye(dim, dtype=complex)
-    for gate in p.gates:
-        if isinstance(gate, ZRot):
-            mat = pauli_matrix("I" * gate.qubit + "Z" + "I" * (p.n_qubits - gate.qubit - 1))
-        elif isinstance(gate, XXRot):
-            mat = pauli_matrix("I" * gate.qubit + "XX" + "I" * (p.n_qubits - gate.qubit - 2))
-        else:
-            u = pauli_matrix(gate.letters) @ u
-            continue
-        g = np.cos(gate.theta / 2) * np.eye(dim) - 1j * np.sin(gate.theta / 2) * mat
-        u = g @ u
-    return u
+    for axis, theta in zip(p.axes.tolist(), p.thetas.tolist()):
+        mat = pauli_matrix(("I" * (axis // 2) + ("XX" if axis % 2 else "Z")).ljust(p.n_qubits, "I"))
+        u = (np.cos(theta / 2) * np.eye(dim) - 1j * np.sin(theta / 2) * mat) @ u
+    return pauli_matrix(p.letters) @ u

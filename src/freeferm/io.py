@@ -10,7 +10,7 @@ from itertools import chain
 
 import numpy as np
 
-from .circuits import GateProgram, PauliLayer, XXRot, ZRot
+from .circuits import GateProgram
 from .partition import AnticommutingPartition, ElectronicIntegrals
 from .shadows import _colex_sets
 
@@ -59,54 +59,61 @@ def read_matrix(path, expect_kind: str | None = None) -> tuple[str, np.ndarray]:
         return matrix_from_json(json.load(fh), expect_kind)
 
 
-def _gate_to_json(gate) -> dict:
-    if isinstance(gate, ZRot):
-        return {"kind": "zrot", "q": gate.qubit, "theta": gate.theta}
-    if isinstance(gate, XXRot):
-        return {"kind": "xxrot", "q": [gate.qubit, gate.qubit + 1], "theta": gate.theta}
-    return {"kind": "pauli", "string": gate.letters}
-
-
 def program_to_json(p: GateProgram) -> list:
-    return [_gate_to_json(gate) for gate in p.gates]
+    """The ``gates`` list of a program file: one entry per rotation, then the ``pauli`` entry."""
+    gates = [{"kind": "xxrot", "q": [a // 2, a // 2 + 1], "theta": t} if a % 2
+             else {"kind": "zrot", "q": a // 2, "theta": t}
+             for a, t in zip(p.axes.tolist(), p.thetas.tolist())]
+    return gates + [{"kind": "pauli", "string": p.letters}]
+
+
+def _axis(kind, q) -> int:
+    """The Majorana axis of a rotation entry: q is an integer, or two adjacent ones for xxrot."""
+    if kind == "zrot" and type(q) is int:
+        return 2 * q
+    if kind != "xxrot" or type(q) is not list or list(map(type, q)) != [int, int] \
+            or q[1] != q[0] + 1:
+        raise ValueError(f"bad rotation entry: kind {kind!r} with q {q!r}")
+    return 2 * q[0] + 1
 
 
 def program_from_json(data: list, n_qubits: int) -> GateProgram:
-    gates = []
-    for item in data:
-        kind = item["kind"]
-        if kind == "zrot":
-            gates.append(ZRot(int(item["q"]), float(item["theta"])))
-        elif kind == "xxrot":
-            lo, hi = (int(x) for x in item["q"])
-            if hi != lo + 1:
-                raise ValueError("xxrot must act on adjacent qubits")
-            gates.append(XXRot(lo, float(item["theta"])))
-        elif kind == "pauli":
-            gates.append(PauliLayer(item["string"]))
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
-    return GateProgram(n_qubits, tuple(gates))
+    """The inverse of ``program_to_json``: rotations, then exactly one ``pauli`` entry.
 
-
-# gates per json.dumps call: the C encoder's speed without a whole-file string
-_PROGRAM_CHUNK = 256
+    A ``theta`` must be a number; any other input raises ``ValueError``.
+    """
+    n_qubits = _size(n_qubits, "n_qubits")
+    try:
+        kinds = [item["kind"] for item in data]
+        if kinds.count("pauli") != 1 or kinds[-1] != "pauli":
+            raise ValueError("a gate list must end in its one pauli entry")
+        axes = [_axis(item["kind"], item["q"]) for item in data[:-1]]
+        thetas = [item["theta"] for item in data[:-1]]
+        letters = data[-1]["string"]
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed gate list: {err!r}") from err
+    if not {int, float}.issuperset(map(type, thetas)):
+        raise ValueError("a rotation angle must be a number")
+    return GateProgram(n_qubits, axes, thetas, letters)
 
 
 def write_program(path, p: GateProgram) -> None:
-    """Write the bytes ``json.dump`` would, encoding the gate list in chunks."""
+    """Write ``json.dump``'s bytes as one join: per rotation its axis' head, then its angle."""
+    heads = [f'{{"kind": "xxrot", "q": [{a // 2}, {a // 2 + 1}], "theta": ' if a % 2
+             else f'{{"kind": "zrot", "q": {a // 2}, "theta": ' for a in range(2 * p.n_qubits - 1)]
+    reprs = json.dumps(p.thetas.tolist())[1:-1].split(", ")  # NaN, Infinity as json
+    cells = "".join(heads[a] + r + "}, " for a, r in zip(p.axes.tolist(), reprs))
+    layer = json.dumps({"kind": "pauli", "string": p.letters})
     with open(path, "w") as fh:
-        fh.write(f'{{"n_qubits": {p.n_qubits:d}, "gates": [')
-        for start in range(0, len(p.gates), _PROGRAM_CHUNK):
-            chunk = [_gate_to_json(g) for g in p.gates[start:start + _PROGRAM_CHUNK]]
-            fh.write((", " if start else "") + json.dumps(chunk)[1:-1])
-        fh.write("]}\n")
+        fh.write(f'{{"n_qubits": {p.n_qubits:d}, "gates": [{cells}{layer}]}}\n')
 
 
 def read_program(path) -> GateProgram:
     with open(path) as fh:
         obj = json.load(fh)
-    return program_from_json(obj["gates"], int(obj["n_qubits"]))
+    if type(obj) is not dict:
+        raise ValueError("a program file must be a JSON object")
+    return program_from_json(obj.get("gates"), obj.get("n_qubits"))
 
 
 def integrals_to_json(ints: ElectronicIntegrals) -> dict:
@@ -163,11 +170,19 @@ def read_integrals(path) -> ElectronicIntegrals:
 def estimates_from_json(obj: dict) -> tuple[dict[int, np.ndarray], int, int]:
     """Sector arrays, count and mode count: the inverse of ``write_estimates``.
 
-    Each degree the file holds must cover every ascending set of that degree
-    below 2 n_modes, and no other key may occur, else ``ValueError``.
+    The file must hold at least one sector, each degree it holds must cover
+    every ascending set of that degree below 2 n_modes, no other key may occur,
+    and each entry must be {"mean": number, "count": the file's count}, else
+    ``ValueError``.
     """
     n_modes, count = _size(obj["n_modes"], "n_modes"), _size(obj["count"], "count")
     body = obj["estimates"]
+    if type(body) is not dict or not body:
+        raise ValueError("estimates hold no sector")
+    for key, e in body.items():
+        ok = type(e) is dict and e.keys() == {"mean", "count"} and type(e["mean"]) in (int, float)
+        if not ok or (type(e["count"]), e["count"]) != (int, count):
+            raise ValueError(f'estimate {key!r} is not {{"mean": number, "count": {count}}}')
     sectors = {}
     for degree in sorted({key.count(",") + 1 for key in body}):
         keys = [",".join(map(str, idx)) for idx in _colex_sets(2 * n_modes, degree).tolist()]

@@ -11,7 +11,7 @@ from scipy.stats import ortho_group, unitary_group
 
 import freeferm as ff
 from freeferm import CovarianceMatrix, MajoranaMonomial, SlaterDeterminant, dense, oracle
-from freeferm.circuits import GateProgram, PauliLayer, XXRot, ZRot, _assemble, _check_orthogonal
+from freeferm.circuits import GateProgram, _assemble, _check_orthogonal
 from freeferm.majorana import _sort_with_parity, multiply_pauli_letters
 from freeferm.partition import _quadratic_term
 from freeferm.oracle import random_antisymmetric
@@ -178,18 +178,15 @@ def reference_assemble(n_qubits, primitives):
             for q in qs:
                 last_on_qubit[q] = len(rots) - 1
 
-    gates = []
+    axes, thetas = [], []
     for axis, theta in rots:
         theta = (theta + np.pi) % (2 * np.pi) - np.pi
         if abs(theta) < ff.DEFAULT.rotation_cut:
             continue
-        if axis % 2 == 0:
-            gates.append(ZRot(axis // 2, theta))
-        else:
-            gates.append(XXRot(axis // 2, theta))
+        axes.append(axis)
+        thetas.append(theta)
     snapped = [1.0 if s > 0 else -1.0 for s in signs]
-    gates.append(PauliLayer(reference_layer_letters(snapped)))
-    return GateProgram(n_qubits, tuple(gates))
+    return GateProgram(n_qubits, axes, thetas, reference_layer_letters(snapped))
 
 
 def stats_compare(q):
@@ -217,18 +214,14 @@ def reference_layer_action(letters):
 
 
 def reference_program_to_orthogonal(program):
-    """Gate-by-gate two-row updates: what the layered recomposition must match."""
+    """Rotation by rotation, then the Pauli layer: what the layered recomposition must match."""
     q = np.eye(2 * program.n_qubits)
-    for gate in program.gates:
-        if isinstance(gate, PauliLayer):
-            q *= reference_layer_action(gate.letters)[:, None]
-            continue
-        axis = 2 * gate.qubit + isinstance(gate, XXRot)
-        c, s = cos(gate.theta), sin(gate.theta)
+    for axis, theta in zip(program.axes.tolist(), program.thetas.tolist()):
+        c, s = cos(theta), sin(theta)
         upper, lower = q[axis].copy(), q[axis + 1].copy()
         q[axis] = c * upper - s * lower
         q[axis + 1] = s * upper + c * lower
-    return q
+    return q * reference_layer_action(program.letters)[:, None]
 
 
 def ladder_product_expansion(n_modes, ops):

@@ -7,13 +7,10 @@ import pytest
 import freeferm as ff
 from freeferm import dense, oracle
 from freeferm.circuits import (
-    PauliLayer,
+    GateProgram,
     _assemble,
-    _givens_matrix,
     _layer_action,
     _layer_letters,
-    XXRot,
-    ZRot,
     compile_blocked,
     compile_naive,
     program_to_orthogonal,
@@ -35,19 +32,19 @@ COMPILERS = [compile_naive, compile_blocked]
 # ------------------------------------------------------------ gate actions
 
 def test_empty_program_is_identity():
-    prog = ff.GateProgram(2, ())
+    prog = GateProgram(2, [], [], "II")
     assert np.array_equal(program_to_orthogonal(prog), np.eye(4))
 
 
 def test_zrot_action_is_givens():
     theta = 0.4
-    prog = ff.GateProgram(1, (ZRot(0, theta),))
+    prog = GateProgram(1, [0], [theta], "I")
     expected = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     assert np.max(np.abs(program_to_orthogonal(prog) - expected)) < 1e-15
 
 
 def test_pauli_layer_action():
-    prog = ff.GateProgram(3, (PauliLayer("ZII"),))
+    prog = GateProgram(3, [], [], "ZII")
     got = np.diag(program_to_orthogonal(prog))
     assert np.array_equal(got, [-1, -1, 1, 1, 1, 1])
     # dense conjugation agrees
@@ -58,17 +55,15 @@ def test_pauli_layer_action():
 
 
 def dense_composition(prog):
-    """Reference: multiply in one dense 2n x 2n action per gate."""
+    """Reference: multiply in one dense 2n x 2n action per rotation, then the Pauli layer."""
     dim = 2 * prog.n_qubits
     q = np.eye(dim)
-    for gate in prog.gates:
-        if isinstance(gate, PauliLayer):
-            action = np.diag(_layer_action(gate.letters))
-        else:
-            axis = 2 * gate.qubit + isinstance(gate, XXRot)
-            action = _givens_matrix(dim, axis, gate.theta)
+    for axis, theta in zip(prog.axes.tolist(), prog.thetas.tolist()):
+        action = np.eye(dim)
+        action[axis:axis + 2, axis:axis + 2] = [[np.cos(theta), -np.sin(theta)],
+                                                [np.sin(theta), np.cos(theta)]]
         q = action @ q
-    return q
+    return np.diag(_layer_action(prog.letters)) @ q
 
 
 @pytest.mark.parametrize("n", [3, 8, 16])
@@ -82,9 +77,9 @@ def test_row_updates_match_dense_composition(n, compiler, rng):
 def test_gate_actions_match_dense(rng):
     # every gate type: U^dag g U composed densely equals the claimed action
     n = 3
-    gates = [ZRot(1, 0.7), XXRot(0, -1.2), XXRot(1, 0.3), PauliLayer("XZY")]
-    for gate in gates:
-        prog = ff.GateProgram(n, (gate,))
+    programs = [([2], [0.7], "III"), ([1], [-1.2], "III"), ([3], [0.3], "III"), ([], [], "XZY")]
+    for axes, thetas, letters in programs:
+        prog = GateProgram(n, axes, thetas, letters)
         q = program_to_orthogonal(prog)
         u = dense_unitary(prog)
         for mu in range(2 * n):
@@ -94,12 +89,33 @@ def test_gate_actions_match_dense(rng):
 
 
 def test_program_invariants():
+    for axes, thetas, letters, message in [
+        ([3], [0.1], "II", "axes must be integers in"),  # an XX rotation past the last qubit
+        ([-1], [0.1], "II", "axes must be integers in"),
+        ([0.5], [0.1], "II", "axes must be integers in"),
+        ([True], [0.1], "II", "axes must be integers in"),
+        ([0, 1], [0.1], "II", "one length"),
+        ([[0]], [[0.1]], "II", "one length"),
+        ([], [], "III", "Pauli layer"),
+        ([], [], "IA", "Pauli layer"),
+        ([], [], ["I", "X"], "Pauli layer"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            GateProgram(2, axes, thetas, letters)
+
+
+def test_program_holds_read_only_copies():
+    axes, thetas = np.array([0, 1, 2]), np.array([0.1, 0.2, 0.3])
+    prog = GateProgram(2, axes, thetas, "XY")
+    axes[0], thetas[0] = 2, 9.0
+    assert prog.axes.tolist() == [0, 1, 2] and prog.thetas.tolist() == [0.1, 0.2, 0.3]
+    assert prog.axes.dtype == np.int64 and prog.thetas.dtype == np.float64
     with pytest.raises(ValueError):
-        ff.GateProgram(2, (PauliLayer("II"), PauliLayer("ZI")))
+        prog.thetas[0] = 1.0
     with pytest.raises(ValueError):
-        ff.GateProgram(2, (XXRot(1, 0.1),))
-    with pytest.raises(ValueError):
-        ff.GateProgram(2, (PauliLayer("III"),))
+        prog.axes[0] = 1
+    assert prog == GateProgram(2, [0, 1, 2], [0.1, 0.2, 0.3], "XY")
+    assert prog != GateProgram(2, [0, 1, 2], [0.1, 0.2, 0.3], "XZ")
 
 
 # ------------------------------------------------------- compiler specifics
@@ -107,28 +123,28 @@ def test_program_invariants():
 def test_naive_identity():
     prog = compile_naive(np.eye(6))
     assert prog.stats().rotation_count == 0
-    assert prog.gates == (PauliLayer("III"),)
+    assert prog == GateProgram(3, [], [], "III")
 
 
 def test_naive_sign_layers():
     n = 3
     q = np.diag([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
     prog = compile_naive(q)
-    assert prog.gates == (PauliLayer("IIZ"),)
+    assert prog == GateProgram(n, [], [], "IIZ")
 
     # block diag(1, -1) at mode p compiles to X_p with a Z tail
     q = np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
     prog = compile_naive(q)
-    assert prog.gates == (PauliLayer("XZZ"),)
+    assert prog == GateProgram(n, [], [], "XZZ")
     q = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
     prog = compile_naive(q)
-    assert prog.gates == (PauliLayer("IYZ"),)
+    assert prog == GateProgram(n, [], [], "IYZ")
 
 
 def test_blocked_identity():
     prog = compile_blocked(np.eye(8))
     assert prog.stats().rotation_count == 0
-    assert prog.gates == (PauliLayer("IIII"),)
+    assert prog == GateProgram(4, [], [], "IIII")
 
 
 @pytest.mark.parametrize("n", list(range(1, 9)))
@@ -206,9 +222,14 @@ def test_naive_count_is_parameter_minimal(rng):
 
 
 def test_depth_definition():
-    prog = ff.GateProgram(3, (ZRot(0, 0.1), ZRot(1, 0.1), XXRot(0, 0.2), ZRot(2, 0.3)))
+    axes, thetas = [0, 2, 1, 4], [0.1, 0.1, 0.2, 0.3]
     # layer 1: Z0 | Z1 | Z2, layer 2: XX(0,1)
-    assert prog.stats().depth == 2
+    assert GateProgram(3, axes, thetas, "III").stats() == ff.circuits.ProgramStats(3, 1, 2)
+    # the Pauli layer joins the layer after the last rotation on a qubit it acts on
+    assert GateProgram(3, axes, thetas, "IIZ").stats().depth == 2
+    assert GateProgram(3, axes, thetas, "IXI").stats().depth == 3
+    assert GateProgram(3, [], [], "III").stats().depth == 0
+    assert GateProgram(3, [], [], "IIY").stats().depth == 1
 
 
 # ------------------------------------------- sequential reference equality
@@ -217,7 +238,7 @@ def test_depth_definition():
 def test_naive_wavefront_matches_sequential_loop(n, rng):
     for _ in range(3 if n <= 8 else 1):
         q = random_orthogonal(2 * n, rng)
-        assert compile_naive(q).gates == reference_compile_naive(q).gates
+        assert compile_naive(q) == reference_compile_naive(q)
 
 
 def structured_orthogonals(rng, n=4):
@@ -245,26 +266,22 @@ def test_structured_inputs_match_references(compiler, rng):
     for name, q in structured_orthogonals(rng).items():
         prog = compiler(q)
         if compiler is compile_naive:
-            assert prog.gates == reference_compile_naive(q).gates, name
+            assert prog == reference_compile_naive(q), name
         recomposed = program_to_orthogonal(prog)
         assert np.array_equal(recomposed, reference_program_to_orthogonal(prog)), name
         assert np.max(np.abs(recomposed - q)) < 1e-9, name
 
 
-def random_program(n, gates, rng, layer_at=None):
-    """Random rotations, with a random Pauli layer inserted at ``layer_at``."""
-    out = []
-    for _ in range(gates):
-        if n > 1 and rng.random() < 0.5:
-            out.append(XXRot(int(rng.integers(n - 1)), float(rng.normal())))
-        else:
-            out.append(ZRot(int(rng.integers(n)), float(rng.normal())))
-    if layer_at is not None:
-        out.insert(layer_at, PauliLayer("".join(rng.choice(list("IXYZ"), size=n))))
-    return ff.GateProgram(n, tuple(out))
+def random_program(n, rotations, rng, layer_at=None):
+    """Random rotations, then a random Pauli layer at ``layer_at``, which can only be the
+    end; ``None`` gives the identity layer."""
+    assert layer_at in (None, rotations)
+    axes = rng.integers(2 * n - 1, size=rotations)
+    layer = "I" * n if layer_at is None else "".join(rng.choice(list("IXYZ"), size=n))
+    return GateProgram(n, axes, rng.normal(size=rotations), layer)
 
 
-@pytest.mark.parametrize("layer_at", [None, 0, 20, 40])
+@pytest.mark.parametrize("layer_at", [None, 40])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_layered_recomposition_matches_gate_by_gate(n, layer_at, rng):
     for _ in range(5):
@@ -313,13 +330,15 @@ def random_stream(rng):
 
 
 def test_assemble_matches_tagged_interpreter():
-    # repr compares gate type, qubit and the angle's bits and float type
+    # float.hex compares the angles' bits, so -0.0 and 0.0 differ
     rng = np.random.default_rng(1405)
     for _ in range(3000):
         n, prims, rotations, signs = random_stream(rng)
         got = _assemble(n, rotations, signs)
         want = reference_assemble(n, prims)
-        assert [repr(g) for g in got.gates] == [repr(g) for g in want.gates], prims
+        assert got.axes.tolist() == want.axes.tolist(), prims
+        assert list(map(float.hex, got.thetas.tolist())) == list(map(float.hex, want.thetas.tolist()))
+        assert got.letters == want.letters, prims
 
 
 # ------------------------------------------------------------ serialization

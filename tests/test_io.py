@@ -51,20 +51,66 @@ def test_program_file_round_trip(tmp_path, rng):
 
 
 @pytest.mark.parametrize("rotations, layer", [
-    (0, False), (0, True), (io._PROGRAM_CHUNK, False), (io._PROGRAM_CHUNK, True),
+    (0, False), (0, True), (1, False), (1, True), (300, False), (300, True),
 ])
 def test_write_program_matches_json_dump(tmp_path, rng, rotations, layer):
     n = 4
-    gates = [ff.XXRot(int(q), float(t)) if q < n - 1 and t > 0 else ff.ZRot(int(q), float(t))
-             for q, t in zip(rng.integers(n, size=rotations), rng.normal(size=rotations))]
-    if layer:
-        gates.append(ff.PauliLayer("XYZI"))
-    prog = ff.GateProgram(n, tuple(gates))
-    io.write_program(tmp_path / "chunked.json", prog)
+    thetas = rng.normal(size=rotations)
+    thetas[:5] = [-0.0, 1e-300, 2.0 / 3.0, np.pi, np.nan][:rotations]  # json spells NaN as NaN
+    prog = ff.GateProgram(n, rng.integers(2 * n - 1, size=rotations), thetas,
+                          "XYZI" if layer else "IIII")
+    io.write_program(tmp_path / "joined.json", prog)
     with open(tmp_path / "dumped.json", "w") as fh:
         json.dump({"n_qubits": n, "gates": io.program_to_json(prog)}, fh)
         fh.write("\n")
-    assert (tmp_path / "chunked.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+    assert (tmp_path / "joined.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+
+def program_file(n):
+    """A valid program file on n qubits: a Z and an XX rotation where n allows, then the layer."""
+    gates = [{"kind": "zrot", "q": n - 1, "theta": 0.5}] if n else []
+    gates += [{"kind": "xxrot", "q": [0, 1], "theta": -0.25}] if n > 1 else []
+    return {"n_qubits": n, "gates": gates + [{"kind": "pauli", "string": "X" * n}]}
+
+
+def assert_readers_reject(tmp_path, obj):
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError):
+        io.read_program(path)
+    with pytest.raises(ValueError):
+        io.program_from_json(obj["gates"], obj["n_qubits"])
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize("n, gate, field, value", [
+    (2, 0, "q", 1.7), (2, 0, "q", True), (3, 1, "q", [True, 2]), (3, 1, "q", [1, 3]),
+    (2, 0, "theta", "0.5"), (2, 0, "theta", True), (2, 0, "kind", DROP), (2, 1, "q", DROP),
+    (2, None, "n_qubits", 2.9), (1, None, "n_qubits", True), (0, None, "n_qubits", 0),
+], ids=["q-float", "q-true", "xxrot-q-true", "xxrot-q-not-adjacent", "theta-string", "theta-true",
+        "no-kind", "no-q", "n_qubits-float", "n_qubits-true", "n_qubits-0"])
+def test_program_readers_reject_malformed_fields(tmp_path, n, gate, field, value):
+    # int() read 1.7 as 1 and true as 1, and a missing field ended in a KeyError
+    obj = program_file(n)
+    if n:
+        assert io.program_from_json(obj["gates"], n).n_qubits == n  # valid before the edit
+    entry = obj if gate is None else obj["gates"][gate]
+    if value is DROP:
+        del entry[field]
+    else:
+        entry[field] = value
+    assert_readers_reject(tmp_path, obj)
+
+
+@pytest.mark.parametrize("order", [[2, 0, 1], [0, 1, 2, 2], [0, 1], []],
+                         ids=["pauli-first", "two-pauli", "no-pauli", "empty"])
+def test_program_readers_reject_misplaced_pauli(tmp_path, order):
+    # a program is rotations followed by exactly one pauli entry
+    obj = program_file(2)
+    obj["gates"] = [obj["gates"][k] for k in order]
+    assert_readers_reject(tmp_path, obj)
 
 
 def test_integrals_round_trip(tmp_path, rng):
@@ -138,6 +184,33 @@ def test_estimates_from_json_rejects_size_that_is_not_an_integer(tmp_path, field
     obj = json.loads(path.read_text())
     obj[field] = value
     with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, found {value!r}"):
+        io.estimates_from_json(obj)
+
+
+@pytest.mark.parametrize("entry", [
+    {"mean": 0.5, "count": 7}, {"mean": 0.5, "count": 3.0}, {"mean": 0.5, "count": True},
+    {"count": 3}, {"mean": True, "count": 3}, {"mean": "0.5", "count": 3},
+    {"mean": 0.5, "count": 3, "extra": 1}, 0.5,
+], ids=["count-other", "count-float", "count-true", "no-mean", "mean-true", "mean-string",
+        "extra-key", "not-an-object"])
+def test_estimates_from_json_rejects_malformed_entry(tmp_path, entry):
+    # a per-set count of 7 against the file's 3 was accepted and dropped, and true read as 1.0
+    path = tmp_path / "est.json"
+    io.write_estimates(path, {1: np.zeros(1)}, 3, 1)
+    obj = json.loads(path.read_text())
+    obj["estimates"]["0,1"] = entry
+    with pytest.raises(ValueError, match="is not"):
+        io.estimates_from_json(obj)
+
+
+@pytest.mark.parametrize("body", [{}, []])
+def test_estimates_from_json_rejects_file_without_sectors(tmp_path, body):
+    # these read as no sectors at all
+    path = tmp_path / "est.json"
+    io.write_estimates(path, {1: np.zeros(1)}, 3, 1)
+    obj = json.loads(path.read_text())
+    obj["estimates"] = body
+    with pytest.raises(ValueError, match="no sector"):
         io.estimates_from_json(obj)
 
 

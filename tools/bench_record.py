@@ -30,7 +30,14 @@ After the workloads it records two end-to-end figures of the checkout:
   n = 8, 16 and 24 (eta = n / 4, kmax 1, no noise, 10,000 snapshots, one
   thread), from the median of three runs. Each run times the command inside
   a fresh process, so interpreter start and imports (the workloads'
-  ``setup_s``) are left out.
+  ``setup_s``) are left out;
+* ``compile_layers``: the median milliseconds of ``compile_naive``,
+  ``compile_blocked``, and of ``write_program``, ``read_program`` and
+  ``program_to_orthogonal`` on each scheme's program, over nine calls at
+  n = 8, 16, 32 and 64. One fresh process on the checkout's ``src`` times
+  them all, on one Haar-random Q per n drawn as ``perfbench/inputs.py`` draws
+  the compile workload's inputs for ``--seed``. It calls only public names,
+  so any checkout with the same API can be measured.
 """
 from __future__ import annotations
 
@@ -53,6 +60,40 @@ from freeferm.cli import main
 start = time.perf_counter()
 main(sys.argv[1:], standalone_mode=False)
 print(time.perf_counter() - start)
+"""
+
+
+COMPILE_LAYER_MODES = (8, 16, 32, 64)
+COMPILE_LAYER_RUNS = 9
+# prints {n: {layer: median ms}} as JSON; argv: seed, runs, modes...
+COMPILE_LAYER_TIMER = """import json, os, statistics, sys, tempfile, time
+sys.path.insert(0, "perfbench")
+import inputs
+from freeferm import compile_blocked, compile_naive, program_to_orthogonal
+from freeferm.io import read_program, write_program
+seed, runs, modes = int(sys.argv[1]), int(sys.argv[2]), [int(n) for n in sys.argv[3:]]
+
+def median_ms(call):
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        call()
+        times.append(1e3 * (time.perf_counter() - start))
+    return statistics.median(times)
+
+result = {}
+with tempfile.TemporaryDirectory() as out:
+    for n in modes:
+        q = inputs.haar_orthogonal(2 * n, inputs.stream(seed, 2, n))
+        layers = result[str(n)] = {}
+        for name, compiler in (("naive", compile_naive), ("blocked", compile_blocked)):
+            layers["compile_" + name] = median_ms(lambda: compiler(q))
+            program, path = compiler(q), os.path.join(out, name + ".json")
+            layers["write_program_" + name] = median_ms(lambda: write_program(path, program))
+            layers["read_program_" + name] = median_ms(lambda: read_program(path))
+            layers["program_to_orthogonal_" + name] = median_ms(
+                lambda: program_to_orthogonal(program))
+print(json.dumps(result))
 """
 
 
@@ -124,6 +165,16 @@ def shadow_sim_rate(root: str, n: int) -> dict:
             "snapshots_per_s": SHADOW_SIM_SAMPLES / median}
 
 
+def compile_layers(root: str, seed: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    cmd = [sys.executable, "-c", COMPILE_LAYER_TIMER, str(seed), str(COMPILE_LAYER_RUNS),
+           *map(str, COMPILE_LAYER_MODES)]
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"compile layer timing exited {proc.returncode}: {proc.stderr.strip()}")
+    return {"runs": COMPILE_LAYER_RUNS, "median_ms": json.loads(proc.stdout)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
@@ -147,6 +198,10 @@ def main(argv=None) -> int:
     record["shadow_sim"] = {str(n): shadow_sim_rate(root, n) for n in SHADOW_SIM_MODES}
     print("shadow-sim snapshots/s: " + ", ".join(
         f"n = {n} {entry['snapshots_per_s']:.0f}" for n, entry in record["shadow_sim"].items()))
+    record["compile_layers"] = compile_layers(root, args.seed)
+    largest = record["compile_layers"]["median_ms"][str(COMPILE_LAYER_MODES[-1])]
+    print(f"compile layers at n = {COMPILE_LAYER_MODES[-1]}, median ms: " + ", ".join(
+        f"{name} {ms:.2f}" for name, ms in largest.items()), flush=True)
     record["tier1"] = tier1(root)
     print(f"tier-1: {record['tier1']}", flush=True)
     out = args.out or os.path.join(root, f"BENCH_{args.label}.json")
