@@ -229,12 +229,10 @@ def cmd_compile(input_path, scheme, out, show_stats):
 @click.option("--report", "report_path", type=click.Path(), required=True)
 def cmd_partition(input_path, method, report_path):
     """Partition an electronic Hamiltonian into anticommuting sets."""
-    import json
-
     try:
         ints = io.read_integrals(input_path)
         poly = majorana_form(ints)
-        if not poly.terms:
+        if not len(poly.coeffs):
             raise ValueError("Hamiltonian has no non-constant terms")
         extra = {}
         if method == "greedy":
@@ -242,17 +240,13 @@ def cmd_partition(input_path, method, report_path):
         else:
             template = analytic_partition(ints.n)
             part = partition_from_template(poly, template)
-            quartic = sum(1 for group in template if any(len(t) == 4 for t in group))
-            extra["analytic_quartic_sets"] = quartic
-        report = io.partition_report(norms_report(poly, part), part, extra)
-        report["method"] = method
-        report["constant"] = poly.constant
+            extra["analytic_quartic_sets"] = sum(any(len(t) == 4 for t in g) for g in template)
+        report = io.partition_report(norms_report(poly, part), part,
+                                     {**extra, "method": method, "constant": poly.constant})
     except (ValueError, KeyError, OSError) as err:
         _fail("invalid-input", str(err))
     try:
-        with open(report_path, "w") as fh:
-            json.dump(report, fh)
-            fh.write("\n")
+        io.write_json(report_path, report)
     except OSError as err:
         _fail("invalid-argument", str(err))
     click.echo(f"wrote {report_path} ({len(part.sets)} sets)")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,6 +23,20 @@ def _size(value, field: str) -> int:
     if type(value) is not int or value < 1:
         raise ValueError(f"{field} must be an integer >= 1, found {value!r}")
     return value
+
+
+def _floats(values: list, name) -> np.ndarray:
+    """JSON numbers as floats; any other entry (``"1.0"``, ``true``) is named by ``name(k)``."""
+    if {int, float}.issuperset(map(type, values)):
+        return np.array(values, dtype=float)
+    k = next(k for k, v in enumerate(values) if type(v) not in (int, float))
+    raise ValueError(f"{name(k)} is not a number: {values[k]!r}")
+
+
+def write_json(path, obj) -> None:
+    """Write ``json.dump``'s bytes for ``obj`` and a newline, in one write."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj) + "\n")
 
 
 def matrix_to_json(kind: str, matrix: np.ndarray) -> dict:
@@ -40,8 +55,8 @@ def matrix_from_json(obj: dict, expect_kind: str | None = None) -> tuple[str, np
         if expect_kind is not None and kind != expect_kind:
             raise ValueError(f"expected a {expect_kind!r} matrix, found {kind!r}")
         n = _size(obj["n_modes"], "n_modes")
-        data = np.array(obj["data"], dtype=float)
-    except (AttributeError, TypeError) as err:
+        data = _floats(obj["data"], "matrix entry {}".format)
+    except (AttributeError, TypeError, OverflowError) as err:
         raise ValueError(f"malformed matrix file: {err}") from err
     if data.size != (2 * n) ** 2:
         raise ValueError("matrix payload has the wrong size")
@@ -49,9 +64,7 @@ def matrix_from_json(obj: dict, expect_kind: str | None = None) -> tuple[str, np
 
 
 def write_matrix(path, kind: str, matrix) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json(kind, matrix), fh)
-        fh.write("\n")
+    write_json(path, matrix_to_json(kind, matrix))
 
 
 def read_matrix(path, expect_kind: str | None = None) -> tuple[str, np.ndarray]:
@@ -127,37 +140,39 @@ def integrals_to_json(ints: ElectronicIntegrals) -> dict:
 def _integrals_args(obj: dict) -> tuple[int, np.ndarray, np.ndarray]:
     """n, h1 and the (n, n, n, n) h2 tensor of an integrals file.
 
-    An ``h2`` index that is not four integers in [0, n), or that occurs twice,
-    raises ``ValueError`` naming the first such item in file order; booleans and
-    floats are not integers here.
+    Every h1 entry and h2 value must be a JSON number. An ``h2`` index that is
+    not four integers in [0, n), or that occurs twice, raises ``ValueError``
+    naming the first such item in file order; booleans and floats are not
+    integers here.
     """
     try:
-        n, h1 = _size(obj["n"], "n"), np.array(obj["h1"], dtype=float)
-        pqrs = [tuple(item["pqrs"]) for item in obj["h2"]]
-        values = [float(item["value"]) for item in obj["h2"]]
-        if h1.shape != (n, n):
+        n, rows, items = _size(obj["n"], "n"), obj["h1"], obj["h2"]
+        if type(rows) is not list or len(rows) != n or {n} != set(map(len, rows)):
             raise ValueError("one-body matrix must be n x n")
-        # True == 1 and 1.0 == 1 pass the set test, so the types are checked too
-        orbitals, whole = set(range(n)), {int}.issuperset(map(type, chain.from_iterable(pqrs)))
-        bad = next((idx for idx in pqrs if len(idx) != 4 or not orbitals.issuperset(idx)
-                    or not whole and {int} != set(map(type, idx))), None)
-    except TypeError as err:
+        h1 = _floats(list(chain.from_iterable(rows)), lambda k: f"h1 entry {divmod(k, n)}")
+        pqrs = list(map(itemgetter("pqrs"), items))
+        flat = list(chain.from_iterable(pqrs))
+        whole = {4}.issuperset(map(len, pqrs)) and {int}.issuperset(map(type, flat))
+        values = _floats(list(map(itemgetter("value"), items)),
+                         lambda k: f"two-body value at {tuple(pqrs[k])}")
+    except (TypeError, OverflowError) as err:
         raise ValueError(f"malformed integrals file: {err}") from err
-    if bad is not None:
+    at = np.array(flat if whole else [-1, 0, 0, 0]).reshape(-1, 4)  # beyond int64: objects
+    if np.any((at < 0) | (at >= n)):
+        bad = next(tuple(idx) for idx in pqrs if len(idx) != 4
+                   or not all(type(i) is int and 0 <= i < n for i in idx))
         raise ValueError(f"bad two-body index {bad}")
-    flat = np.ravel_multi_index(np.array(pqrs, dtype=np.int64).reshape(-1, 4).T, (n,) * 4)
+    flat = np.ravel_multi_index(at.T.astype(np.int64), (n,) * 4)
     seen = np.bincount(flat, minlength=n ** 4)
     if seen.max() > 1:
-        raise ValueError(f"duplicate two-body index {pqrs[int(np.argmax(seen[flat] > 1))]}")
+        raise ValueError(f"duplicate two-body index {tuple(pqrs[int(np.argmax(seen[flat] > 1))])}")
     h2 = np.zeros(n ** 4)
     h2[flat] = values
-    return n, h1, h2.reshape((n,) * 4)
+    return n, h1.reshape(n, n), h2.reshape((n,) * 4)
 
 
 def write_integrals(path, ints: ElectronicIntegrals) -> None:
-    with open(path, "w") as fh:
-        json.dump(integrals_to_json(ints), fh)
-        fh.write("\n")
+    write_json(path, integrals_to_json(ints))
 
 
 def read_integrals(path) -> ElectronicIntegrals:
@@ -218,21 +233,9 @@ def write_estimates(path, sectors: dict, count: int, n_modes: int) -> None:
 
 def partition_report(poly_report: dict, partition: AnticommutingPartition,
                      extra: dict | None = None) -> dict:
-    body = {
-        "sets": [
-            {
-                "members": [list(idx) for idx in s.members],
-                "betas": list(map(float, s.betas)),
-                "gamma": s.gamma,
-            }
-            for s in partition.sets
-        ],
-        "covers": partition.covers,
-    }
-    body.update(poly_report)
-    if extra:
-        body.update(extra)
-    return body
+    sets = [{"members": s.members, "betas": s.betas.tolist(), "gamma": s.gamma}
+            for s in partition.sets]
+    return {"sets": sets, "covers": partition.covers, **poly_report, **(extra or {})}
 
 
 class SampleWriter:
@@ -244,13 +247,21 @@ class SampleWriter:
         self._next = 0
 
     def write_batch(self, perms, signs, bits):
-        """Append one row per snapshot, with csv's \\r\\n line ends; no field needs quoting."""
-        rows = zip(range(self._next, self._next + len(perms)),
-                   perms.tolist(), signs.tolist(), bits.tolist())
-        self._fh.write("".join(
-            f"{i},{' '.join(map(str, p))},{' '.join(map(str, s))},{''.join(map(str, b))}\r\n"
-            for i, p, s, b in rows))
-        self._next += len(perms)
+        """Append one row per snapshot, with csv's \\r\\n line ends; no field needs quoting.
+
+        The rows are one join of cells from string tables; the last column of a
+        field looks up its value in the table's second half, which ends in the
+        field's separator.
+        """
+        (size, m), n = perms.shape, bits.shape[1]
+        cells = np.empty((size, 2 * m + n + 1), dtype=object)
+        cells[:, 0] = list(map("{},".format, range(self._next, self._next + size)))
+        last = np.arange(m) == m - 1
+        cells[:, 1:m + 1] = np.array([f"{v}{sep}" for sep in " ," for v in range(m)])[perms + m * last]
+        cells[:, m + 1:-n] = np.array(["-1 ", "", "1 ", "-1,", "", "1,"])[signs + 1 + 3 * last]
+        cells[:, -n:] = np.array(["0", "1", "0\r\n", "1\r\n"])[bits + 2 * (np.arange(n) == n - 1)]
+        self._fh.write("".join(cells.ravel().tolist()))
+        self._next += size
 
     def close(self):
         self._fh.close()

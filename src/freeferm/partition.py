@@ -5,11 +5,16 @@ A two-body Hamiltonian with real, permutation-symmetric integrals rewrites as
     H = c * 1 + sum_{p,q} c_pq i g_{2p} g_{2q+1}
             + (1/2) sum_{p!=q, r!=s} c_pqrs g_{2p} g_{2q} g_{2r+1} g_{2s+1},
 
-so every term is a single Hermitian Majorana monomial. Terms that pairwise
+so every term is a single Hermitian Majorana monomial. A ``MajoranaPolynomial``
+holds its terms as arrays: an int64 matrix with one index set per row, padded
+with -1, and a coefficient vector in the same order. Terms that pairwise
 anticommute can be collapsed to one operator by a ladder of two-term
 rotations, cutting the number of independently measured quantities; the
 partitioner builds such completely anticommuting sets either greedily or
-from a closed-form template with binom(n, 2) (n - 2) quartic sets.
+from a closed-form template with binom(n, 2) (n - 2) quartic sets. It works
+on the arrays: each index set is a bitmask column, first fit labels the terms
+set by set, and a template's sets find their terms through one integer key
+per index row.
 
 Each set could also be collapsed by one rotation about the normalized
 commutator of the partial sum with the target, but realizing that axis on
@@ -18,9 +23,11 @@ construction is provided here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from math import atan2, hypot, sqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -83,28 +90,95 @@ class ElectronicIntegrals:
         self.h1, self.h2 = h1, h2
 
 
-@dataclass
+def _index_rows(sets: list, n_modes: int) -> np.ndarray:
+    """Index sets as int64 rows padded with -1, which sort as the tuples do.
+
+    An index outside [0, 2 n_modes), or one repeated within a set, raises ``ValueError``.
+    """
+    degrees = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(degrees.sum()))
+    if np.any((flat < 0) | (flat >= 2 * n_modes)):
+        raise ValueError("indices out of range for n_modes")
+    rows = np.full((len(sets), int(degrees.max(initial=0))), -1, dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < degrees[:, None]] = flat
+    if np.any(np.bitwise_count(_bitmasks(rows, n_modes)[0]).sum(axis=0) != degrees):
+        raise ValueError("index sets must not repeat an index")
+    return rows
+
+
+def _bitmasks(rows: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bitmask words (words, terms) and degrees of index rows.
+
+    Index u sets bit u % 64 of word u // 64 in its term's column.
+    """
+    bits = np.where(rows >= 0, np.uint64(1) << (rows % 64).astype(np.uint64), np.uint64(0))
+    masks = [np.bitwise_or.reduce(np.where(rows // 64 == w, bits, np.uint64(0)), axis=1)
+             for w in range(-(-2 * n_modes // 64))]
+    return np.array(masks, dtype=np.uint64), (rows >= 0).sum(axis=1)
+
+
+def _rows_of(poly: "MajoranaPolynomial", rows: np.ndarray) -> np.ndarray:
+    """The term row of each index row in ``poly``, or -1 where it has no such term.
+
+    Padded to one width, each row is matched as one integer: its indices + 1 as
+    the digits of a base-(2 n_modes + 1) number.
+    """
+    width, base = max(rows.shape[1], poly.indices.shape[1]), 2 * poly.n_modes + 1
+    if base ** width >= 2 ** 63:
+        raise ValueError("index sets too long for one integer key")
+    digits = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    keys, wanted = (np.pad(r + 1, ((0, 0), (0, width - r.shape[1]))) @ digits
+                    for r in (poly.indices, rows))
+    order = np.argsort(keys)
+    at = np.append(order, -1)[np.searchsorted(keys[order], wanted)]
+    return np.where(np.append(keys, -1)[at] == wanted, at, -1)
+
+
+def _covers(rows: np.ndarray, n_terms: int) -> bool:
+    """Whether the term rows (-1 for none) name each of n_terms rows exactly once."""
+    counts = np.bincount(rows + 1, minlength=n_terms + 1)
+    return len(rows) == n_terms and bool(np.all(counts[1:] == 1))
+
+
 class MajoranaPolynomial:
-    """Real-coefficient Hermitian operator as a map {index set: coefficient}."""
+    """Real-coefficient Hermitian operator: a constant plus weighted Majorana monomials.
 
-    n_modes: int
-    terms: dict[tuple[int, ...], float] = field(default_factory=dict)
-    constant: float = 0.0
+    ``indices`` holds one index set per term as an int64 row padded with -1
+    (see ``_index_rows``), ``coeffs`` the coefficients in the same order, and
+    ``terms`` is the read-only {index tuple: coefficient} view of the two.
+    """
 
-    def add(self, indices: tuple[int, ...], coeff: float):
-        if len(indices) % 2:
-            raise ValueError("terms must have even degree")
-        if coeff == 0.0:
-            return
-        self.terms[indices] = self.terms.get(indices, 0.0) + coeff
+    def __init__(self, n_modes: int, terms: dict | None = None, constant: float = 0.0):
+        self.n_modes, self.constant, terms = n_modes, constant, terms or {}
+        self.indices = _index_rows(list(terms), n_modes)
+        self.coeffs = np.array(list(terms.values()), dtype=float)
+
+    @classmethod
+    def _of(cls, n_modes, indices, coeffs, constant) -> "MajoranaPolynomial":
+        poly = cls(n_modes, None, constant)
+        poly.indices, poly.coeffs = indices, coeffs
+        return poly
+
+    @cached_property
+    def _tuples(self) -> np.ndarray:
+        """The index sets as tuples, in an object array."""
+        out, degrees = np.empty(len(self.indices), dtype=object), (self.indices >= 0).sum(axis=1)
+        for d in range(self.indices.shape[1] + 1):
+            at = np.flatnonzero(degrees == d)
+            out[at] = np.fromiter(map(tuple, self.indices[at, :d].tolist()), object, len(at))
+        return out
+
+    @cached_property
+    def terms(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(self._tuples.tolist(), self.coeffs.tolist())))
 
     def pruned(self, cutoff: float) -> "MajoranaPolynomial":
-        kept = {idx: c for idx, c in self.terms.items() if abs(c) > cutoff}
-        return MajoranaPolynomial(self.n_modes, kept, self.constant)
+        keep = np.abs(self.coeffs) > cutoff
+        return self._of(self.n_modes, self.indices[keep], self.coeffs[keep], self.constant)
 
     @property
     def l1_norm(self) -> float:
-        return sum(abs(c) for c in self.terms.values())
+        return sum(np.abs(self.coeffs).tolist())
 
 
 @dataclass
@@ -116,8 +190,11 @@ class PartitionSet:
 
 @dataclass
 class AnticommutingPartition:
+    """Sets of a polynomial's terms; ``indices`` holds the members' index rows, set after set."""
+
     sets: list[PartitionSet]
     covers: bool
+    indices: np.ndarray | None = None
 
 
 @dataclass
@@ -135,27 +212,20 @@ class RotationPlan:
     target_sign: int = 1
 
 
-def _quadratic_term(p: int, q: int) -> tuple[tuple[int, ...], float]:
-    """Canonical set and sign for i g_{2p} g_{2q+1}."""
-    a, b = 2 * p, 2 * q + 1
-    if a < b:
-        return (a, b), -1.0
-    return (b, a), 1.0
-
-
 def majorana_form(ints: ElectronicIntegrals) -> MajoranaPolynomial:
     """Rewrite the ladder-operator Hamiltonian over canonical Majorana monomials.
 
-    Each coefficient is summed in ascending index order, one term at a time.
+    The terms are the quadratic sets in (p, q) order, then the quartic sets in
+    the order of their first nonzero entry, as scalar loops adding one entry at
+    a time in ascending index order would make them; each coefficient carries
+    the same bits as such a loop's sum.
     """
     n, h1, h2 = ints.n, ints.h1, ints.h2
-    poly = MajoranaPolynomial(n)
 
     const = 0.5 * float(np.trace(h1))
     exchange = 0.125 * (np.einsum("pqqp->pq", h2) - np.einsum("pqpq->pq", h2))
     for c in exchange[~np.eye(n, dtype=bool)].tolist():
         const += c
-    poly.constant = const
 
     # term [p, q, r] is added one r at a time; r = p or r = q adds 0.0, which changes no sum
     pairs = 0.25 * (np.einsum("prrq->pqr", h2) - np.einsum("pqrr->pqr", h2))
@@ -164,47 +234,48 @@ def majorana_form(ints: ElectronicIntegrals) -> MajoranaPolynomial:
     coeffs = 0.5 * h1
     for r in range(n):
         coeffs = coeffs + pairs[:, :, r]
-    for (p, q), c in zip(np.ndindex(n, n), coeffs.ravel().tolist()):
-        idx, sign = _quadratic_term(p, q)
-        poly.add(idx, sign * c)
+    # i g_2p g_2q+1 is the canonical monomial on {2p, 2q+1}, with sign -1 when 2p < 2q + 1
+    even, odd = 2 * np.repeat(m, n), 2 * np.tile(m, n) + 1
+    quadratic = np.pad(np.sort([even, odd], axis=0).T, ((0, 0), (0, 2)), constant_values=-1)
+    quadratic_c = np.where(even < odd, -coeffs.ravel(), coeffs.ravel())
 
-    # h_pqrs weighs -1/8 against the raw product g_2p g_2q g_2r+1 g_2s+1 (the 1/2 of the
-    # two-body sum folded in); the canonical monomial carries (-i)^6 = -1 against the sorted one
-    at = np.argwhere(h2)
-    at = at[(at[:, 0] != at[:, 1]) & (at[:, 2] != at[:, 3])]
-    sets, parity = _sort_rows_with_parity(2 * at + [0, 0, 1, 1])
-    weights = np.where(parity == 0, 0.125, -0.125) * h2[tuple(at.T)]
-    for idx, c in zip(map(tuple, sets.tolist()), weights.tolist()):
-        poly.add(idx, c)
+    # set {2p, 2q, 2r+1, 2s+1}, p < q and r < s, sums its images (p,q,r,s), (p,q,s,r),
+    # (q,p,r,s), (q,p,s,r) in this ascending order. Entry h_pqrs weighs -1/8 against the raw
+    # product g_2p g_2q g_2r+1 g_2s+1 (the 1/2 of the two-body sum folded in); the canonical
+    # monomial carries (-i)^6 = -1 against the sorted one, and swapping p, q or r, s flips it.
+    p, q = np.triu_indices(n, 1)
+    p, q, r, s = np.repeat(p, len(p)), np.repeat(q, len(p)), np.tile(p, len(p)), np.tile(q, len(p))
+    quartic, parity = _sort_rows_with_parity(np.stack([2 * p, 2 * q, 2 * r + 1, 2 * s + 1], axis=1))
+    images = np.stack([np.ravel_multi_index(idx, h2.shape) for idx in
+                       ((p, q, r, s), (p, q, s, r), (q, p, r, s), (q, p, s, r))], axis=1)
+    weights = np.where(parity == 0, 0.125, -0.125)[:, None] * [1.0, -1.0, -1.0, 1.0] \
+        * h2.ravel()[images]
+    quartic_c = ((weights[:, 0] + weights[:, 1]) + weights[:, 2]) + weights[:, 3]
+    nonzero = weights != 0.0
+    first = images[np.arange(len(images)), np.argmax(nonzero, axis=1)]
+    present = np.flatnonzero(nonzero.any(axis=1))
+    order = present[np.argsort(first[present])]
 
-    return poly.pruned(TOL.coeff_prune)
+    indices = np.concatenate([quadratic, quartic[order]])
+    values = np.concatenate([quadratic_c, quartic_c[order]])
+    return MajoranaPolynomial._of(n, indices, values, const).pruned(TOL.coeff_prune)
 
 
-def _first_fit(candidates: list[tuple], groups: list[list[tuple]],
-               n_modes: int) -> list[list[tuple]]:
-    """Put each candidate, in order, into the first group it wholly anticommutes with.
+def _first_fit(masks: np.ndarray, degrees: np.ndarray,
+               placed: np.ndarray = np.zeros(0, dtype=np.int64)) -> np.ndarray:
+    """Label each term after the placed ones with the first group it wholly anticommutes with.
 
-    ``groups`` is extended in place, with a new group for a candidate that
-    fits none. Index sets A and B anticommute iff |A| |B| + |A & B| is odd.
-    Every term is a bitmask column with a degree and a group label, so one
-    candidate is tested against all placed terms at once.
+    Term k is column k of the bitmask words ``masks`` with degree ``degrees[k]``;
+    the first len(placed) terms lie in the groups ``placed`` names, numbered from
+    0, and a term that fits no group opens the next one. Returns every term's
+    label. Index sets A and B anticommute iff |A| |B| + |A & B| is odd, so one
+    candidate is tested against all earlier terms at once.
     """
-    placed = [idx for members in groups for idx in members]
-    terms = placed + candidates
-    degrees = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
-    flat = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=int(degrees.sum()))
-    if np.any((flat < 0) | (flat >= 2 * n_modes)):
-        raise ValueError("indices out of range for n_modes")
-    # index u sets bit u % 64 of word u // 64 in its term's column
-    masks = np.zeros((-(-2 * n_modes // 64), len(terms)), dtype=np.uint64)
-    np.bitwise_or.at(masks, (flat // 64, np.repeat(np.arange(len(terms)), degrees)),
-                     np.uint64(1) << (flat % 64).astype(np.uint64))
-    if np.any(np.bitwise_count(masks).sum(axis=0) != degrees):
-        raise ValueError("index sets must not repeat an index")
+    label = np.zeros(masks.shape[1], dtype=np.int64)
+    label[:len(placed)] = placed
+    groups = int(placed.max(initial=-1)) + 1
     odd = (degrees & 1).astype(np.uint8)
-    label = np.zeros(len(terms), dtype=np.int64)
-    label[:len(placed)] = np.repeat(np.arange(len(groups)), list(map(len, groups)))
-    for k, idx in enumerate(candidates, start=len(placed)):
+    for k in range(len(placed), masks.shape[1]):
         # |A & B| is odd iff the XOR of the words' ANDs has odd popcount
         shared = masks[0, :k] & masks[0, k]
         for word in masks[1:]:
@@ -212,37 +283,37 @@ def _first_fit(candidates: list[tuple], groups: list[list[tuple]],
         anti = np.bitwise_count(shared) & 1
         if odd[k]:
             anti ^= odd[:k]
-        ruled_out = np.zeros(len(groups) + 1, dtype=bool)
+        ruled_out = np.zeros(groups + 1, dtype=bool)
         ruled_out[label[:k][anti == 0]] = True
         label[k] = g = int(np.argmin(ruled_out))
-        if g == len(groups):
-            groups.append([])
-        groups[g].append(idx)
-    return groups
+        groups += g == groups
+    return label
 
 
-def _finalize_sets(poly: MajoranaPolynomial, groups: list[list[tuple]]) -> AnticommutingPartition:
-    sets = []
-    for members in groups:
-        coeffs = np.array([poly.terms[idx] for idx in members])
-        gamma = float(np.linalg.norm(coeffs))
-        betas = coeffs / gamma if gamma > 0 else coeffs
-        sets.append(PartitionSet(list(members), betas, gamma))
-    covered = sorted(idx for s in sets for idx in s.members)
-    covers = covered == sorted(poly.terms)
-    return AnticommutingPartition(sets, covers)
+def _finalize_sets(poly: MajoranaPolynomial, rows: np.ndarray,
+                   label: np.ndarray) -> AnticommutingPartition:
+    """The sets of the labelled term rows, each in placement order, with its norm and betas."""
+    rows = rows[np.argsort(label, kind="stable")]
+    bounds = np.cumsum(np.bincount(label))
+    coeffs = poly.coeffs[rows]
+    gammas = np.array([np.linalg.norm(c) for c in np.split(coeffs, bounds[:-1])])
+    betas = coeffs / np.repeat(np.where(gammas > 0, gammas, 1.0), np.diff(bounds, prepend=0))
+    members = poly._tuples[rows].tolist()
+    sets = [PartitionSet(members[a:b], betas[a:b], g)
+            for a, b, g in zip([0, *bounds[:-1].tolist()], bounds.tolist(), gammas.tolist())]
+    return AnticommutingPartition(sets, _covers(rows, len(poly.coeffs)), poly.indices[rows])
 
 
 def greedy_partition(poly: MajoranaPolynomial) -> AnticommutingPartition:
     """First-fit coloring of terms ordered by descending weight, then index.
 
-    Deterministic by construction: the order never depends on dict insertion
-    order or thread count.
+    Deterministic by construction: the order never depends on the term order
+    or thread count.
     """
-    if not poly.terms:
+    if not len(poly.coeffs):
         raise ValueError("polynomial has no non-constant terms")
-    order = sorted(poly.terms, key=lambda idx: (-abs(poly.terms[idx]), idx))
-    return _finalize_sets(poly, _first_fit(order, [], poly.n_modes))
+    order = np.lexsort((*poly.indices.T[::-1], -np.abs(poly.coeffs)))
+    return _finalize_sets(poly, order, _first_fit(*_bitmasks(poly.indices[order], poly.n_modes)))
 
 
 def analytic_partition(n: int) -> list[list[tuple[int, ...]]]:
@@ -271,7 +342,7 @@ def analytic_partition(n: int) -> list[list[tuple[int, ...]]]:
     # distribute quadratic terms; T_p joins the q = p family when one exists
     leftovers: list[tuple[int, ...]] = []
     for p in range(n):
-        quads = [_quadratic_term(p, q)[0] for q in range(n)]
+        quads = [tuple(sorted((2 * p, 2 * q + 1))) for q in range(n)]
         host = (p, 0, 1)
         spill = (p, 2, 3)
         if p >= 3 and host in quartic and spill in quartic:
@@ -281,7 +352,14 @@ def analytic_partition(n: int) -> list[list[tuple[int, ...]]]:
         else:
             leftovers.extend(quads)
 
-    return _first_fit(leftovers, merged + list(quartic.values()), n)
+    groups = merged + list(quartic.values())
+    placed = np.repeat(np.arange(len(groups)), list(map(len, groups)))
+    rows = _index_rows(list(chain.from_iterable(groups)) + leftovers, n)
+    for idx, g in zip(leftovers, _first_fit(*_bitmasks(rows, n), placed)[len(placed):].tolist()):
+        if g == len(groups):
+            groups.append([])
+        groups[g].append(idx)
+    return groups
 
 
 def partition_from_template(poly: MajoranaPolynomial,
@@ -289,17 +367,16 @@ def partition_from_template(poly: MajoranaPolynomial,
     """Instantiate a template against a polynomial's support.
 
     Template sets keep only the terms actually present; support outside the
-    template is grouped greedily at the end.
+    template is grouped greedily at the end, in index order.
     """
-    support = set(poly.terms)
-    groups = []
-    seen = set()
-    for members in template:
-        present = [idx for idx in members if idx in support]
-        seen.update(present)
-        if present:
-            groups.append(present)
-    return _finalize_sets(poly, _first_fit(sorted(support - seen), groups, poly.n_modes))
+    found = _rows_of(poly, _index_rows(list(chain.from_iterable(template)), poly.n_modes))
+    placed = np.repeat(np.arange(len(template)), list(map(len, template)))[found >= 0]
+    rest = np.flatnonzero(np.bincount(found + 1, minlength=len(poly.coeffs) + 1)[1:] == 0)
+    rows = np.concatenate([found[found >= 0], rest[np.lexsort(poly.indices[rest].T[::-1])]])
+    # the template sets that keep a term, numbered in order
+    label = _first_fit(*_bitmasks(poly.indices[rows], poly.n_modes),
+                       np.cumsum(np.diff(placed, prepend=-1) != 0) - 1)
+    return _finalize_sets(poly, rows, label)
 
 
 def rotation_plan(members: list[tuple[int, ...]], betas) -> RotationPlan:
@@ -338,8 +415,11 @@ def norms_report(poly: MajoranaPolynomial, partition: AnticommutingPartition) ->
     Lambda is the term-weight l1 norm, Lambda_c the l1 norm of the set norms;
     Lambda / sqrt(s_max) <= Lambda_c <= Lambda always holds.
     """
-    covered = sorted(idx for s in partition.sets for idx in s.members)
-    if covered != sorted(poly.terms):
+    indices = partition.indices
+    if indices is None:  # a partition built by hand
+        indices = _index_rows(list(chain.from_iterable(s.members for s in partition.sets)),
+                              poly.n_modes)
+    if not _covers(_rows_of(poly, indices), len(poly.coeffs)):
         raise ValueError("partition does not cover the polynomial")
     lam = float(poly.l1_norm)
     lam_c = float(sum(s.gamma for s in partition.sets))

@@ -13,7 +13,6 @@ import freeferm as ff
 from freeferm import CovarianceMatrix, MajoranaMonomial, SlaterDeterminant, dense, oracle
 from freeferm.circuits import GateProgram, _assemble, _check_orthogonal
 from freeferm.majorana import _sort_with_parity, multiply_pauli_letters
-from freeferm.partition import _quadratic_term
 from freeferm.oracle import random_antisymmetric
 
 
@@ -279,13 +278,12 @@ def dense_hamiltonian(ints):
 def reference_majorana_form(ints):
     """Scalar loops over the integrals: what the array-built ``majorana_form`` must match."""
     n, h1, h2 = ints.n, ints.h1, ints.h2
-    poly = ff.MajoranaPolynomial(n)
+    terms = {}
     const = 0.5 * float(np.trace(h1))
     for p in range(n):
         for q in range(n):
             if p != q:
                 const += 0.125 * (h2[p, q, q, p] - h2[p, q, p, q])
-    poly.constant = const
     for p in range(n):
         for q in range(n):
             coeff = 0.5 * h1[p, q]
@@ -293,13 +291,14 @@ def reference_majorana_form(ints):
                 if r != p and r != q:
                     coeff += 0.25 * (h2[p, r, r, q] - h2[p, q, r, r])
             if coeff != 0.0:
-                idx, sign = _quadratic_term(p, q)
-                poly.add(idx, sign * coeff)
+                # i g_2p g_2q+1 is minus the canonical monomial when 2p < 2q + 1
+                idx, parity = _sort_with_parity((2 * p, 2 * q + 1))
+                terms[idx] = (-1.0 if parity == 0 else 1.0) * coeff
     for p, q, r, s in np.ndindex(h2.shape):
         coeff = -0.125 * h2[p, q, r, s]
         if p == q or r == s or coeff == 0.0:
             continue
         idx, parity = _sort_with_parity((2 * p, 2 * q, 2 * r + 1, 2 * s + 1))
         # the canonical quartic monomial carries (-i)^6 = -1 against the raw product
-        poly.add(idx, (-1.0 if parity == 0 else 1.0) * coeff)
-    return poly.pruned(ff.DEFAULT.coeff_prune)
+        terms[idx] = terms.get(idx, 0.0) + (-1.0 if parity == 0 else 1.0) * coeff
+    return ff.MajoranaPolynomial(n, terms, const).pruned(ff.DEFAULT.coeff_prune)

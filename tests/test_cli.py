@@ -234,6 +234,20 @@ def test_compile_rejects_non_finite_matrix(runner, tmp_path, entry, scheme):
     assert not (tmp_path / "prog.json").exists()
 
 
+@pytest.mark.parametrize("entry", ["1.0", True], ids=["string", "true"])
+def test_compile_rejects_matrix_entry_that_is_not_a_number(runner, tmp_path, entry):
+    # np.array(..., dtype=float) read "1.0" and true as 1.0
+    src = tmp_path / "q.json"
+    src.write_text(json.dumps({"kind": "orthogonal", "n_modes": 1, "data": [1.0, 0.0, 0.0, entry]}))
+    res = runner.invoke(main, [
+        "compile", "--input", str(src), "--out", str(tmp_path / "prog.json"),
+    ])
+    assert res.exit_code != 0
+    assert res.output.strip().splitlines() == [
+        f"error:invalid-input: matrix entry 3 is not a number: {entry!r}"]
+    assert not (tmp_path / "prog.json").exists()
+
+
 @pytest.mark.parametrize("payload", [[1, 2], "str"], ids=["list", "string"])
 def test_compile_rejects_non_object_file(runner, tmp_path, payload):
     src = tmp_path / "q.json"
@@ -312,6 +326,25 @@ def test_partition_rejects_orbital_count_that_is_not_a_size(runner, tmp_path, n)
     assert res.exit_code != 0
     assert res.output.strip().splitlines() == [
         f"error:invalid-input: n must be an integer >= 1, found {n!r}"]
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [("h2", "0.5"), ("h2", True), ("h1", "1.0"), ("h1", True)],
+                         ids=["h2-string", "h2-true", "h1-string", "h1-true"])
+def test_partition_rejects_integral_that_is_not_a_number(runner, tmp_path, field, value):
+    # float() and np.array(..., dtype=float) read "0.5" as 0.5 and true as 1.0
+    h1, h2 = [[1.0, 0.0], [0.0, 1.0]], [{"pqrs": [0, 0, 0, 0], "value": 0.5}]
+    if field == "h1":
+        h1[1][1], message = value, f"h1 entry (1, 1) is not a number: {value!r}"
+    else:
+        h2[0]["value"], message = value, f"two-body value at (0, 0, 0, 0) is not a number: {value!r}"
+    src = tmp_path / "ints.json"
+    src.write_text(json.dumps({"n": 2, "h1": h1, "h2": h2}))
+    res = runner.invoke(main, [
+        "partition", "--input", str(src), "--report", str(tmp_path / "report.json"),
+    ])
+    assert res.exit_code != 0
+    assert res.output.strip().splitlines() == [f"error:invalid-input: {message}"]
     assert not (tmp_path / "report.json").exists()
 
 

@@ -113,6 +113,27 @@ def test_program_readers_reject_misplaced_pauli(tmp_path, order):
     assert_readers_reject(tmp_path, obj)
 
 
+def test_json_writers_match_json_dump(tmp_path, rng):
+    # each writes its file in one write; the bytes are json.dump's and a newline
+    q = random_orthogonal(6, rng)
+    q[0, :3] = -0.0, 1e-300, 2.0 / 3.0
+    ints = ff.ElectronicIntegrals(3, *random_symmetric_integrals(3, rng))
+    poly = ff.majorana_form(ints)
+    part = ff.greedy_partition(poly)
+    report = io.partition_report(ff.norms_report(poly, part), part,
+                                 {"method": "greedy", "constant": poly.constant})
+    for write, args, obj in [
+        (io.write_matrix, ("orthogonal", q), io.matrix_to_json("orthogonal", q)),
+        (io.write_integrals, (ints,), io.integrals_to_json(ints)),
+        (io.write_json, (report,), report),
+    ]:
+        write(tmp_path / "written.json", *args)
+        with open(tmp_path / "dumped.json", "w") as fh:
+            json.dump(obj, fh)
+            fh.write("\n")
+        assert (tmp_path / "written.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+
 def test_integrals_round_trip(tmp_path, rng):
     h1, h2 = random_symmetric_integrals(3, rng)
     # p + q + r + s is the same on every image of an entry, so this keeps the symmetry
@@ -232,3 +253,18 @@ def test_sample_writer(tmp_path):
                        "".join(map(str, bit))])
     assert path.read_bytes() == expected.getvalue().encode()
     assert path.read_text().splitlines()[1] == "0,2 0 3 1,1 -1 1 1,10"
+
+
+def test_sample_writer_matches_row_by_row_format(tmp_path, rng):
+    # n = 10: two-digit permutation entries; the second batch starts at id 300
+    n, size = 10, 1000
+    perms = np.argsort(rng.random((size, 2 * n)), axis=1)
+    signs = np.where(rng.random((size, 2 * n)) < 0.5, -1, 1).astype(np.int8)
+    bits = (rng.random((size, n)) < 0.5).astype(np.uint8)
+    path = tmp_path / "samples.csv"
+    with io.SampleWriter(path) as writer:
+        writer.write_batch(perms[:300], signs[:300], bits[:300])
+        writer.write_batch(perms[300:], signs[300:], bits[300:])
+    rows = "".join(f"{i},{' '.join(map(str, p))},{' '.join(map(str, s))},{''.join(map(str, b))}\r\n"
+                   for i, (p, s, b) in enumerate(zip(perms.tolist(), signs.tolist(), bits.tolist())))
+    assert path.read_bytes() == ("id,permutation,signs,bits\r\n" + rows).encode()

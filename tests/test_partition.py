@@ -1,7 +1,7 @@
 """Majorana form, anticommuting partitioning, and rotation plans."""
 import json
 import re
-from itertools import combinations
+from itertools import combinations, product
 from math import atan2, comb
 
 import numpy as np
@@ -109,11 +109,20 @@ def test_majorana_form_matches_dense(n, rng):
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
-@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("sparse", [False, True, "orbits"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_majorana_form_matches_scalar_loops(n, sparse, rng):
     h1, h2 = random_symmetric_integrals(n, rng)
-    if sparse:
+    if sparse == "orbits":
+        # zero every image of h2[p, q, r, s] for some p < q and r < s: where h2[p, q, s, r]
+        # stays nonzero, the set {2p, 2q, 2r+1, 2s+1} first occurs at (p, q, s, r)
+        for (p, q), (r, s) in product(combinations(range(n), 2), repeat=2):
+            if (p + q + r + s) % 2 == 0:
+                for perm in partition._EIGHTFOLD:
+                    h2[tuple((p, q, r, s)[i] for i in perm)] = 0.0
+        assert any(h2[p, q, r, s] == 0.0 and h2[p, q, s, r] != 0.0
+                   for (p, q), (r, s) in product(combinations(range(n), 2), repeat=2))
+    elif sparse:
         # every image of an entry has the same indices, so both zero patterns keep the symmetry
         h1[n // 2] = h1[:, n // 2] = 0.0
         for axis in range(4):
@@ -245,9 +254,21 @@ def set_lists(part):
 @pytest.fixture
 def pairwise(monkeypatch):
     """Call a partitioner with the pairwise reference in place of ``_first_fit``."""
+    def first_fit(masks, degrees, placed=np.zeros(0, dtype=np.int64)):
+        # the bitmask columns back to index tuples and groups, the reference's groups to labels
+        terms = [tuple(u for u in range(64 * len(masks)) if int(masks[u // 64, k]) >> (u % 64) & 1)
+                 for k in range(masks.shape[1])]
+        assert list(map(len, terms)) == degrees.tolist()
+        groups = [[] for _ in range(int(placed.max(initial=-1)) + 1)]
+        for idx, g in zip(terms, placed.tolist()):
+            groups[g].append(idx)
+        groups = reference_first_fit(terms[len(placed):], groups, 32 * len(masks))
+        label = {idx: g for g, members in enumerate(groups) for idx in members}
+        return np.array([label[idx] for idx in terms])
+
     def call(fn, *args):
         with monkeypatch.context() as patch:
-            patch.setattr(partition, "_first_fit", reference_first_fit)
+            patch.setattr(partition, "_first_fit", first_fit)
             return fn(*args)
     return call
 

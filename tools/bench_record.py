@@ -37,7 +37,15 @@ After the workloads it records two end-to-end figures of the checkout:
   n = 8, 16, 32 and 64. One fresh process on the checkout's ``src`` times
   them all, on one Haar-random Q per n drawn as ``perfbench/inputs.py`` draws
   the compile workload's inputs for ``--seed``. It calls only public names,
-  so any checkout with the same API can be measured.
+  so any checkout with the same API can be measured;
+* ``partition_layers``: the median milliseconds of ``io.read_integrals``,
+  ``majorana_form``, ``greedy_partition``, ``analytic_partition`` followed by
+  ``partition_from_template``, and ``norms_report`` (on the analytic
+  partition), over nine calls at n = 4, 6, 8, 10 and 12. One fresh process on
+  the checkout's ``src`` times them on one integrals file per n, drawn by
+  ``perfbench/inputs.py``'s ``random_integrals`` from ``stream(seed, 1, n)``
+  and written by its ``integrals_json``, the way the hamiltonian workload's
+  inputs are made. It also calls only public names.
 """
 from __future__ import annotations
 
@@ -93,6 +101,47 @@ with tempfile.TemporaryDirectory() as out:
             layers["read_program_" + name] = median_ms(lambda: read_program(path))
             layers["program_to_orthogonal_" + name] = median_ms(
                 lambda: program_to_orthogonal(program))
+print(json.dumps(result))
+"""
+
+
+PARTITION_LAYER_MODES = (4, 6, 8, 10, 12)
+PARTITION_LAYER_RUNS = 9
+# prints {n: {layer: median ms}} as JSON; argv: seed, runs, modes...
+PARTITION_LAYER_TIMER = """import json, os, statistics, sys, tempfile, time
+sys.path.insert(0, "perfbench")
+import inputs
+from freeferm import (analytic_partition, greedy_partition, majorana_form, norms_report,
+                      partition_from_template)
+from freeferm.io import read_integrals
+seed, runs, modes = int(sys.argv[1]), int(sys.argv[2]), [int(n) for n in sys.argv[3:]]
+
+def median_ms(call):
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        call()
+        times.append(1e3 * (time.perf_counter() - start))
+    return statistics.median(times)
+
+result = {}
+with tempfile.TemporaryDirectory() as out:
+    for n in modes:
+        path = os.path.join(out, f"ints_n{n}.json")
+        with open(path, "w") as fh:
+            json.dump(inputs.integrals_json(*inputs.random_integrals(n, inputs.stream(seed, 1, n))),
+                      fh)
+        ints = read_integrals(path)
+        poly = majorana_form(ints)
+        part = partition_from_template(poly, analytic_partition(n))
+        result[str(n)] = {
+            "read_integrals": median_ms(lambda: read_integrals(path)),
+            "majorana_form": median_ms(lambda: majorana_form(ints)),
+            "greedy_partition": median_ms(lambda: greedy_partition(poly)),
+            "analytic_partition": median_ms(
+                lambda: partition_from_template(poly, analytic_partition(n))),
+            "norms_report": median_ms(lambda: norms_report(poly, part)),
+        }
 print(json.dumps(result))
 """
 
@@ -165,14 +214,14 @@ def shadow_sim_rate(root: str, n: int) -> dict:
             "snapshots_per_s": SHADOW_SIM_SAMPLES / median}
 
 
-def compile_layers(root: str, seed: int) -> dict:
+def layer_timings(root: str, seed: int, timer: str, runs: int, modes: tuple) -> dict:
+    """Run a layer timer in a fresh process on ``root``'s ``src``; {runs, median_ms}."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    cmd = [sys.executable, "-c", COMPILE_LAYER_TIMER, str(seed), str(COMPILE_LAYER_RUNS),
-           *map(str, COMPILE_LAYER_MODES)]
+    cmd = [sys.executable, "-c", timer, str(seed), str(runs), *map(str, modes)]
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"compile layer timing exited {proc.returncode}: {proc.stderr.strip()}")
-    return {"runs": COMPILE_LAYER_RUNS, "median_ms": json.loads(proc.stdout)}
+        raise RuntimeError(f"layer timing exited {proc.returncode}: {proc.stderr.strip()}")
+    return {"runs": runs, "median_ms": json.loads(proc.stdout)}
 
 
 def main(argv=None) -> int:
@@ -198,10 +247,13 @@ def main(argv=None) -> int:
     record["shadow_sim"] = {str(n): shadow_sim_rate(root, n) for n in SHADOW_SIM_MODES}
     print("shadow-sim snapshots/s: " + ", ".join(
         f"n = {n} {entry['snapshots_per_s']:.0f}" for n, entry in record["shadow_sim"].items()))
-    record["compile_layers"] = compile_layers(root, args.seed)
-    largest = record["compile_layers"]["median_ms"][str(COMPILE_LAYER_MODES[-1])]
-    print(f"compile layers at n = {COMPILE_LAYER_MODES[-1]}, median ms: " + ", ".join(
-        f"{name} {ms:.2f}" for name, ms in largest.items()), flush=True)
+    for name, timer, runs, modes in (
+            ("compile", COMPILE_LAYER_TIMER, COMPILE_LAYER_RUNS, COMPILE_LAYER_MODES),
+            ("partition", PARTITION_LAYER_TIMER, PARTITION_LAYER_RUNS, PARTITION_LAYER_MODES)):
+        record[f"{name}_layers"] = layer_timings(root, args.seed, timer, runs, modes)
+        largest = record[f"{name}_layers"]["median_ms"][str(modes[-1])]
+        print(f"{name} layers at n = {modes[-1]}, median ms: " + ", ".join(
+            f"{layer} {ms:.2f}" for layer, ms in largest.items()), flush=True)
     record["tier1"] = tier1(root)
     print(f"tier-1: {record['tier1']}", flush=True)
     out = args.out or os.path.join(root, f"BENCH_{args.label}.json")
