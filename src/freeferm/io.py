@@ -257,9 +257,12 @@ class SampleWriter:
         cells = np.empty((size, 2 * m + n + 1), dtype=object)
         cells[:, 0] = list(map("{},".format, range(self._next, self._next + size)))
         last = np.arange(m) == m - 1
-        cells[:, 1:m + 1] = np.array([f"{v}{sep}" for sep in " ," for v in range(m)])[perms + m * last]
-        cells[:, m + 1:-n] = np.array(["-1 ", "", "1 ", "-1,", "", "1,"])[signs + 1 + 3 * last]
-        cells[:, -n:] = np.array(["0", "1", "0\r\n", "1\r\n"])[bits + 2 * (np.arange(n) == n - 1)]
+        perm_cells = np.array([f"{v}{sep}" for sep in " ," for v in range(m)], dtype=object)
+        sign_cells = np.array(["-1 ", "", "1 ", "-1,", "", "1,"], dtype=object)
+        bit_cells = np.array(["0", "1", "0\r\n", "1\r\n"], dtype=object)
+        cells[:, 1:m + 1] = perm_cells[perms + m * last]
+        cells[:, m + 1:-n] = sign_cells[signs + 1 + 3 * last]
+        cells[:, -n:] = bit_cells[bits + 2 * (np.arange(n) == n - 1)]
         self._fh.write("".join(cells.ravel().tolist()))
         self._next += size
 
