@@ -13,8 +13,8 @@ rotations, cutting the number of independently measured quantities; the
 partitioner builds such completely anticommuting sets either greedily or
 from a closed-form template with binom(n, 2) (n - 2) quartic sets. It works
 on the arrays: each index set is a bitmask column, first fit labels the terms
-set by set, and a template's sets find their terms through one integer key
-per index row.
+set by set, and a template's sets find their term rows through one dict from
+the polynomial's index tuples.
 
 Each set could also be collapsed by one rotation about the normalized
 commutator of the partial sum with the target, but realizing that axis on
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import atan2, hypot, sqrt
 from types import MappingProxyType
 
@@ -117,21 +117,10 @@ def _bitmasks(rows: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(masks, dtype=np.uint64), (rows >= 0).sum(axis=1)
 
 
-def _rows_of(poly: "MajoranaPolynomial", rows: np.ndarray) -> np.ndarray:
-    """The term row of each index row in ``poly``, or -1 where it has no such term.
-
-    Padded to one width, each row is matched as one integer: its indices + 1 as
-    the digits of a base-(2 n_modes + 1) number.
-    """
-    width, base = max(rows.shape[1], poly.indices.shape[1]), 2 * poly.n_modes + 1
-    if base ** width >= 2 ** 63:
-        raise ValueError("index sets too long for one integer key")
-    digits = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    keys, wanted = (np.pad(r + 1, ((0, 0), (0, width - r.shape[1]))) @ digits
-                    for r in (poly.indices, rows))
-    order = np.argsort(keys)
-    at = np.append(order, -1)[np.searchsorted(keys[order], wanted)]
-    return np.where(np.append(keys, -1)[at] == wanted, at, -1)
+def _rows_of(poly: "MajoranaPolynomial", sets: list) -> np.ndarray:
+    """The term row of each index tuple in ``sets``, or -1 where ``poly`` has no such term."""
+    row = dict(zip(poly._tuples.tolist(), range(len(poly.coeffs))))
+    return np.fromiter(map(row.get, sets, repeat(-1)), dtype=np.int64, count=len(sets))
 
 
 def _covers(rows: np.ndarray, n_terms: int) -> bool:
@@ -149,14 +138,16 @@ class MajoranaPolynomial:
     """
 
     def __init__(self, n_modes: int, terms: dict | None = None, constant: float = 0.0):
-        self.n_modes, self.constant, terms = n_modes, constant, terms or {}
+        terms = terms or {}
+        self.n_modes, self.constant = n_modes, constant
         self.indices = _index_rows(list(terms), n_modes)
         self.coeffs = np.array(list(terms.values()), dtype=float)
 
     @classmethod
     def _of(cls, n_modes, indices, coeffs, constant) -> "MajoranaPolynomial":
-        poly = cls(n_modes, None, constant)
-        poly.indices, poly.coeffs = indices, coeffs
+        """A polynomial on index rows that ``_index_rows`` would accept, without the checks."""
+        poly = cls.__new__(cls)
+        poly.n_modes, poly.indices, poly.coeffs, poly.constant = n_modes, indices, coeffs, constant
         return poly
 
     @cached_property
@@ -190,11 +181,8 @@ class PartitionSet:
 
 @dataclass
 class AnticommutingPartition:
-    """Sets of a polynomial's terms; ``indices`` holds the members' index rows, set after set."""
-
     sets: list[PartitionSet]
     covers: bool
-    indices: np.ndarray | None = None
 
 
 @dataclass
@@ -301,7 +289,7 @@ def _finalize_sets(poly: MajoranaPolynomial, rows: np.ndarray,
     members = poly._tuples[rows].tolist()
     sets = [PartitionSet(members[a:b], betas[a:b], g)
             for a, b, g in zip([0, *bounds[:-1].tolist()], bounds.tolist(), gammas.tolist())]
-    return AnticommutingPartition(sets, _covers(rows, len(poly.coeffs)), poly.indices[rows])
+    return AnticommutingPartition(sets, _covers(rows, len(poly.coeffs)))
 
 
 def greedy_partition(poly: MajoranaPolynomial) -> AnticommutingPartition:
@@ -369,7 +357,7 @@ def partition_from_template(poly: MajoranaPolynomial,
     Template sets keep only the terms actually present; support outside the
     template is grouped greedily at the end, in index order.
     """
-    found = _rows_of(poly, _index_rows(list(chain.from_iterable(template)), poly.n_modes))
+    found = _rows_of(poly, list(chain.from_iterable(template)))
     placed = np.repeat(np.arange(len(template)), list(map(len, template)))[found >= 0]
     rest = np.flatnonzero(np.bincount(found + 1, minlength=len(poly.coeffs) + 1)[1:] == 0)
     rows = np.concatenate([found[found >= 0], rest[np.lexsort(poly.indices[rest].T[::-1])]])
@@ -415,11 +403,8 @@ def norms_report(poly: MajoranaPolynomial, partition: AnticommutingPartition) ->
     Lambda is the term-weight l1 norm, Lambda_c the l1 norm of the set norms;
     Lambda / sqrt(s_max) <= Lambda_c <= Lambda always holds.
     """
-    indices = partition.indices
-    if indices is None:  # a partition built by hand
-        indices = _index_rows(list(chain.from_iterable(s.members for s in partition.sets)),
-                              poly.n_modes)
-    if not _covers(_rows_of(poly, indices), len(poly.coeffs)):
+    members = list(chain.from_iterable(s.members for s in partition.sets))
+    if not _covers(_rows_of(poly, members), len(poly.coeffs)):
         raise ValueError("partition does not cover the polynomial")
     lam = float(poly.l1_norm)
     lam_c = float(sum(s.gamma for s in partition.sets))

@@ -429,6 +429,24 @@ def test_norms_report_rejects_mismatch():
         ff.norms_report(poly, bogus)
 
 
+def test_long_index_sets_are_matched(rng):
+    # degree-10 sets on 64 modes: 129**10 distinct padded rows, more than an int64 holds
+    n = 64
+    terms = {tuple(sorted(int(i) for i in rng.choice(2 * n, size=10, replace=False))):
+             float(rng.normal()) for _ in range(30)}
+    poly = ff.MajoranaPolynomial(n, terms)
+    outside = tuple(range(1, 21, 2))
+    template = [[idx] for idx in list(terms)[:5]] + [[outside]]
+    for part in (ff.greedy_partition(poly), ff.partition_from_template(poly, template)):
+        assert part.covers
+        assert sorted(m for s in part.sets for m in s.members) == sorted(terms)
+        report = ff.norms_report(poly, part)
+        assert report["Lambda"] == poly.l1_norm and report["bounds_ok"]
+        part.sets.pop()
+        with pytest.raises(ValueError, match="does not cover"):
+            ff.norms_report(poly, part)
+
+
 # ------------------------------------------------------- energy preservation
 
 @pytest.mark.parametrize("n", [2, 3, 4])
