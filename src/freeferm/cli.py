@@ -93,7 +93,7 @@ def _checkpoints(samples: int) -> list[int]:
               help="Largest body order estimated; the RDM error curve needs >= 2.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Master seed.")
 @click.option("--out", type=click.Path(), required=True, help="Output directory.")
-@click.option("--threads", type=int, default=None, help="Worker threads (default: FREEFERM_THREADS or 1).")
+@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads.")
 @click.option("--save-samples", is_flag=True, help="Also write samples.csv.")
 def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, save_samples):
     """Simulate the randomized-measurement protocol on a random Slater state.
@@ -112,12 +112,6 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
             raise ValueError("kmax must lie in [1, modes]")
         if seed not in SEEDS:
             raise ValueError("seed must be >= 0" if seed < 0 else "seed must be < 2**63")
-        if threads is None:
-            env = os.environ.get("FREEFERM_THREADS", "1")
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ValueError(f"FREEFERM_THREADS must be an integer, got {env!r}") from None
         if threads < 1:
             raise ValueError("threads must be >= 1")
         noise_model = _parse_noise(noise)

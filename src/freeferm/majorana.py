@@ -4,7 +4,7 @@ A system of n fermionic modes carries 2n Hermitian generators g_0, ..., g_{2n-1}
 obeying {g_u, g_v} = 2 delta_uv. Ordered products of distinct generators, times
 a power of i, form a complete operator basis. This module implements that
 algebra exactly: phases are integer powers of i (never floats), products are
-computed by merge-counting transpositions, and conjugation by signed-permutation
+computed by counting inversions, and conjugation by signed-permutation
 rotations is closed on monomials.
 
 Conventions
@@ -21,6 +21,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -50,29 +51,9 @@ _PAULI_MULT = {
 }
 
 
-def _merge_inversions(a: tuple, b: tuple) -> int:
-    """Number of pairs (x in a, y in b) with x > y, for sorted a and b."""
-    count = 0
-    j = 0
-    for x in a:
-        while j < len(b) and b[j] < x:
-            j += 1
-        count += j
-    return count
-
-
-def _sort_with_parity(seq) -> tuple[tuple, int]:
-    """Sort a sequence of distinct integers, returning (sorted tuple, parity)."""
-    items = list(seq)
-    parity = 0
-    # insertion sort; sequences here have at most ~2n elements
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            parity ^= 1
-            j -= 1
-    return tuple(items), parity
+def _parity(seq) -> int:
+    """Parity of the number of inversions, pairs i < j with seq[i] > seq[j]."""
+    return sum(x > y for x, y in combinations(seq, 2)) % 2
 
 
 def _sort_rows_with_parity(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,8 +215,7 @@ class SignedPermutation:
 
     @property
     def perm_parity(self) -> int:
-        _, parity = _sort_with_parity(self.perm)
-        return parity
+        return _parity(self.perm)
 
     @property
     def determinant(self) -> int:
@@ -267,15 +247,13 @@ class SignedPermutation:
 def multiply(a: MajoranaMonomial, b: MajoranaMonomial) -> MajoranaMonomial:
     """Exact operator product of two monomials.
 
-    The concatenated generator string is sorted by counting transpositions
-    (each contributes i^2) and colliding indices cancel via g^2 = 1.
+    Sorting the concatenated generator string takes one transposition per
+    inversion (each contributes i^2), and colliding indices cancel via g^2 = 1.
     """
     if a.n_modes != b.n_modes:
         raise ValueError("mode-count mismatch")
-    inversions = _merge_inversions(a.indices, b.indices)
-    sa, sb = set(a.indices), set(b.indices)
-    indices = tuple(sorted(sa ^ sb))
-    pow_i = (a.phase_pow_i + b.phase_pow_i + 2 * inversions) % 4
+    indices = tuple(sorted(set(a.indices) ^ set(b.indices)))
+    pow_i = (a.phase_pow_i + b.phase_pow_i + 2 * _parity(a.indices + b.indices)) % 4
     return MajoranaMonomial(a.n_modes, indices, pow_i)
 
 
@@ -315,9 +293,8 @@ def conjugate(q: SignedPermutation, m: MajoranaMonomial) -> MajoranaMonomial:
     pinv = q.inverse_perm()
     mapped = [pinv[u] for u in m.indices]
     neg = sum(1 for u in mapped if q.signs[u] < 0)
-    indices, parity = _sort_with_parity(mapped)
-    pow_i = (m.phase_pow_i + 2 * (neg + parity)) % 4
-    return MajoranaMonomial(m.n_modes, indices, pow_i)
+    pow_i = (m.phase_pow_i + 2 * (neg + _parity(mapped))) % 4
+    return MajoranaMonomial(m.n_modes, tuple(sorted(mapped)), pow_i)
 
 
 def is_diagonal(m: MajoranaMonomial) -> bool:

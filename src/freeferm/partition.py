@@ -90,22 +90,6 @@ class ElectronicIntegrals:
         self.h1, self.h2 = h1, h2
 
 
-def _index_rows(sets: list, n_modes: int) -> np.ndarray:
-    """Index sets as int64 rows padded with -1, which sort as the tuples do.
-
-    An index outside [0, 2 n_modes), or one repeated within a set, raises ``ValueError``.
-    """
-    degrees = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(degrees.sum()))
-    if np.any((flat < 0) | (flat >= 2 * n_modes)):
-        raise ValueError("indices out of range for n_modes")
-    rows = np.full((len(sets), int(degrees.max(initial=0))), -1, dtype=np.int64)
-    rows[np.arange(rows.shape[1]) < degrees[:, None]] = flat
-    if np.any(np.bitwise_count(_bitmasks(rows, n_modes)[0]).sum(axis=0) != degrees):
-        raise ValueError("index sets must not repeat an index")
-    return rows
-
-
 def _bitmasks(rows: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """Bitmask words (words, terms) and degrees of index rows.
 
@@ -132,20 +116,29 @@ def _covers(rows: np.ndarray, n_terms: int) -> bool:
 class MajoranaPolynomial:
     """Real-coefficient Hermitian operator: a constant plus weighted Majorana monomials.
 
-    ``indices`` holds one index set per term as an int64 row padded with -1
-    (see ``_index_rows``), ``coeffs`` the coefficients in the same order, and
-    ``terms`` is the read-only {index tuple: coefficient} view of the two.
+    ``indices`` holds one index set per term as an int64 row padded with -1,
+    which sort as the tuples do, ``coeffs`` the coefficients in the same order,
+    and ``terms`` is the read-only {index tuple: coefficient} view of the two.
+    An index outside [0, 2 n_modes), or one repeated within a set, raises
+    ``ValueError``.
     """
 
     def __init__(self, n_modes: int, terms: dict | None = None, constant: float = 0.0):
         terms = terms or {}
-        self.n_modes, self.constant = n_modes, constant
-        self.indices = _index_rows(list(terms), n_modes)
+        degrees = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
+        flat = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=int(degrees.sum()))
+        if np.any((flat < 0) | (flat >= 2 * n_modes)):
+            raise ValueError("indices out of range for n_modes")
+        rows = np.full((len(terms), int(degrees.max(initial=0))), -1, dtype=np.int64)
+        rows[np.arange(rows.shape[1]) < degrees[:, None]] = flat
+        if np.any(np.bitwise_count(_bitmasks(rows, n_modes)[0]).sum(axis=0) != degrees):
+            raise ValueError("index sets must not repeat an index")
+        self.n_modes, self.indices, self.constant = n_modes, rows, constant
         self.coeffs = np.array(list(terms.values()), dtype=float)
 
     @classmethod
     def _of(cls, n_modes, indices, coeffs, constant) -> "MajoranaPolynomial":
-        """A polynomial on index rows that ``_index_rows`` would accept, without the checks."""
+        """A polynomial on index rows that ``__init__`` would accept, without the checks."""
         poly = cls.__new__(cls)
         poly.n_modes, poly.indices, poly.coeffs, poly.constant = n_modes, indices, coeffs, constant
         return poly
@@ -307,47 +300,32 @@ def greedy_partition(poly: MajoranaPolynomial) -> AnticommutingPartition:
 def analytic_partition(n: int) -> list[list[tuple[int, ...]]]:
     """Closed-form template covering every admissible quadratic and quartic set.
 
-    Quartic sets share the even index 2q and the odd pair (2r+1, 2s+1); the
-    q = 1 and q = 2 families merge, leaving binom(n, 2) (n - 2) quartic sets
-    for n >= 3. Quadratic terms are folded into compatible quartic sets where
-    the exclusion rule allows (common even index, disjoint odd pairs); the
-    remainder is grouped greedily.
+    Family (q, r, s) holds the quartic sets {2p, 2q, 2r+1, 2s+1} with p < q; the
+    q = 1 and q = 2 families merge, leaving binom(n, 2) (n - 2) quartic sets for
+    n >= 3. The quadratic terms of each mode p >= 3 join family (p, 0, 1), the
+    two with odd index 1 or 3 family (p, 2, 3) instead; those of modes 0, 1 and
+    2 form one set per mode at the end, as first fit after the sets before them
+    would: {2p, 2q+1} anticommutes with a quartic set iff it shares exactly one
+    index with each member, which for p <= 2 some member of every earlier set
+    breaks, and terms of different modes anticommute only when they share their
+    odd index.
     """
     if n < 2:
         raise ValueError("need at least two modes")
-    quartic: dict[tuple[int, int, int], list] = {}
-    for r, s in combinations(range(n), 2):
-        for q in range(1, n):
-            members = [tuple(sorted((2 * p, 2 * q, 2 * r + 1, 2 * s + 1))) for p in range(q)]
-            quartic[(q, r, s)] = members
-    merged: list[list[tuple[int, ...]]] = []
-    for r, s in combinations(range(n), 2):
-        fused = quartic.pop((1, r, s))
-        if (2, r, s) in quartic:
-            fused = fused + quartic.pop((2, r, s))
-        merged.append(fused)
 
-    # distribute quadratic terms; T_p joins the q = p family when one exists
-    leftovers: list[tuple[int, ...]] = []
-    for p in range(n):
-        quads = [tuple(sorted((2 * p, 2 * q + 1))) for q in range(n)]
-        host = (p, 0, 1)
-        spill = (p, 2, 3)
-        if p >= 3 and host in quartic and spill in quartic:
-            excluded = [quads[0], quads[1]]
-            quartic[host].extend(t for t in quads if t not in excluded)
-            quartic[spill].extend(excluded)
-        else:
-            leftovers.extend(quads)
+    def quartic(evens, r, s):
+        return [tuple(sorted((2 * p, 2 * q, 2 * r + 1, 2 * s + 1))) for p, q in evens]
 
-    groups = merged + list(quartic.values())
-    placed = np.repeat(np.arange(len(groups)), list(map(len, groups)))
-    rows = _index_rows(list(chain.from_iterable(groups)) + leftovers, n)
-    for idx, g in zip(leftovers, _first_fit(*_bitmasks(rows, n), placed)[len(placed):].tolist()):
-        if g == len(groups):
-            groups.append([])
-        groups[g].append(idx)
-    return groups
+    def quadratic(p, qs):
+        return [tuple(sorted((2 * p, 2 * q + 1))) for q in qs]
+
+    low, pairs = range(min(n, 3)), list(combinations(range(n), 2))
+    hosted = {(0, 1): range(2, n), (2, 3): (0, 1)}
+    # the merged q = 1, 2 family of (r, s) takes the even pairs of modes 0, 1 and 2
+    groups = [quartic(combinations(low, 2), r, s) for r, s in pairs]
+    groups += [quartic(zip(range(q), repeat(q)), r, s) + quadratic(q, hosted.get((r, s), ()))
+               for r, s in pairs for q in range(3, n)]
+    return groups + [quadratic(p, range(n)) for p in low]
 
 
 def partition_from_template(poly: MajoranaPolynomial,

@@ -12,7 +12,7 @@ from scipy.stats import ortho_group, unitary_group
 import freeferm as ff
 from freeferm import CovarianceMatrix, MajoranaMonomial, SlaterDeterminant, dense, oracle
 from freeferm.circuits import GateProgram, _assemble, _check_orthogonal
-from freeferm.majorana import _sort_with_parity, multiply_pauli_letters
+from freeferm.majorana import _parity, multiply_pauli_letters
 from freeferm.oracle import random_antisymmetric
 
 
@@ -292,13 +292,14 @@ def reference_majorana_form(ints):
                     coeff += 0.25 * (h2[p, r, r, q] - h2[p, q, r, r])
             if coeff != 0.0:
                 # i g_2p g_2q+1 is minus the canonical monomial when 2p < 2q + 1
-                idx, parity = _sort_with_parity((2 * p, 2 * q + 1))
-                terms[idx] = (-1.0 if parity == 0 else 1.0) * coeff
+                raw = (2 * p, 2 * q + 1)
+                terms[tuple(sorted(raw))] = (-1.0 if _parity(raw) == 0 else 1.0) * coeff
     for p, q, r, s in np.ndindex(h2.shape):
         coeff = -0.125 * h2[p, q, r, s]
         if p == q or r == s or coeff == 0.0:
             continue
-        idx, parity = _sort_with_parity((2 * p, 2 * q, 2 * r + 1, 2 * s + 1))
+        raw = (2 * p, 2 * q, 2 * r + 1, 2 * s + 1)
+        idx = tuple(sorted(raw))
         # the canonical quartic monomial carries (-i)^6 = -1 against the raw product
-        terms[idx] = terms.get(idx, 0.0) + (-1.0 if parity == 0 else 1.0) * coeff
+        terms[idx] = terms.get(idx, 0.0) + (-1.0 if _parity(raw) == 0 else 1.0) * coeff
     return ff.MajoranaPolynomial(n, terms, const).pruned(ff.DEFAULT.coeff_prune)

@@ -1,15 +1,18 @@
-"""The public API takes no threshold or guard as an argument.
+"""The public API takes no threshold or guard as an argument, and reads no environment.
 
 Thresholds are read from ``freeferm.tolerances.DEFAULT`` where they are used;
 the ``spectrum`` size guard and the symmetry ancilla are fixed behaviour.
 """
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import freeferm
 
 RETIRED = {"tol", "max_modes", "auto_ancilla"}
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
 def _public_callables():
@@ -35,4 +38,20 @@ def test_no_public_callable_takes_a_retired_option():
         except (TypeError, ValueError):
             continue
         offenders += [f"{qualname}({p})" for p in params if p in RETIRED]
+    assert offenders == []
+
+
+def test_no_module_reads_the_environment():
+    """Every setting is a CLI option or an argument; no environment variable changes a run."""
+    offenders = []
+    for path in sorted(Path(freeferm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id == "os" else []
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} os.{name}" for name in names
+                          if name in ENVIRONMENT]
     assert offenders == []

@@ -50,18 +50,13 @@ def test_shadow_sim_rejects_kmax_out_of_range(runner, tmp_path, kmax):
     assert result.output.strip() == "error:invalid-argument: kmax must lie in [1, modes]"
 
 
-@pytest.mark.parametrize("value, message", [
-    ("x", "FREEFERM_THREADS must be an integer, got 'x'"),
-    ("0", "threads must be >= 1"),
-])
-def test_shadow_sim_rejects_bad_thread_variable(runner, tmp_path, monkeypatch, value, message):
-    monkeypatch.setenv("FREEFERM_THREADS", value)
+def test_shadow_sim_rejects_zero_threads(runner, tmp_path):
     result = runner.invoke(main, [
         "shadow-sim", "--modes", "2", "--eta", "1", "--samples", "100",
-        "--out", str(tmp_path / "out"),
+        "--threads", "0", "--out", str(tmp_path / "out"),
     ])
     assert result.exit_code != 0
-    assert result.output.strip().splitlines() == [f"error:invalid-argument: {message}"]
+    assert result.output.strip().splitlines() == ["error:invalid-argument: threads must be >= 1"]
 
 
 SEED_ERRORS = [("-3", "seed must be >= 0"), (str(2 ** 63), "seed must be < 2**63"),

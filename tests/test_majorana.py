@@ -10,7 +10,7 @@ import freeferm as ff
 from freeferm import dense, oracle
 from freeferm.circuits import compile_naive
 from freeferm.dense import dense_unitary
-from freeferm.majorana import _merge_inversions, _sort_with_parity
+from freeferm.majorana import _parity
 
 from conftest import random_monomial
 
@@ -282,15 +282,13 @@ def test_invariant_validation():
 
 # ------------------------------------------------------------ small helpers
 
-def test_merge_inversions_and_sort_parity(rng):
+def test_parity_counts_inversions(rng):
     for _ in range(50):
-        a = tuple(sorted(rng.choice(20, size=rng.integers(0, 6), replace=False)))
-        b = tuple(sorted(rng.choice(20, size=rng.integers(0, 6), replace=False)))
-        brute = sum(1 for x in a for y in b if x > y)
-        assert _merge_inversions(a, b) == brute
-    for _ in range(50):
-        seq = list(rng.permutation(8))
-        srt, parity = _sort_with_parity(seq)
-        assert srt == tuple(range(8))
+        seq = rng.permutation(8).tolist()
         inversions = sum(1 for i in range(8) for j in range(i + 1, 8) if seq[i] > seq[j])
-        assert parity == inversions % 2
+        assert _parity(seq) == inversions % 2
+    # for sorted a and b, the inversions of a + b are the cross pairs that multiply counts
+    for _ in range(50):
+        a = tuple(sorted(rng.choice(20, size=rng.integers(0, 6), replace=False).tolist()))
+        b = tuple(sorted(rng.choice(20, size=rng.integers(0, 6), replace=False).tolist()))
+        assert _parity(a + b) == sum(1 for x in a for y in b if x > y) % 2
