@@ -46,8 +46,8 @@ def test_no_module_reads_the_environment():
     offenders = []
     for path in sorted(Path(freeferm.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                names = [node.attr] if node.value.id == "os" else []
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+                names = [node.attr]
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 names = [alias.name for alias in node.names]
             else:

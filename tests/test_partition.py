@@ -227,6 +227,20 @@ def test_analytic_covers_all_terms(n):
     assert quartics == expected
 
 
+def test_analytic_sets_come_in_family_order():
+    # the set order is the order of the sets in a partition report
+    n = 5
+    pairs = list(combinations(range(n), 2))
+    expected = [(2, r, s) for r, s in pairs] + [(q, r, s) for r, s in pairs for q in range(3, n)]
+    expected += [(p, None, None) for p in range(3)]
+    found = []
+    for group in ff.analytic_partition(n):
+        top = max(u // 2 for idx in group for u in idx if u % 2 == 0)
+        odds = [u // 2 for u in group[0] if u % 2 == 1]
+        found.append((top, *odds) if len(odds) == 2 else (top, None, None))
+    assert found == expected
+
+
 def test_analytic_rejects_tiny():
     with pytest.raises(ValueError):
         ff.analytic_partition(1)
