@@ -7,15 +7,15 @@ XX rotation, one layer of Pauli gates}. Two schemes are provided:
   rotations followed by a sign layer.
 * ``compile_blocked``: a two-sided elimination that zeroes 2x2 blocks of Q
   (treating each pair of Majorana axes as one qubit) with 4x4 orthogonal
-  factors, a single corner Givens rotation, and a sign layer. Each 4x4
-  factor is reduced to five elementary rotations; the sign diagonal is
-  commuted past the later rotations into the single global Pauli layer.
+  factors of five elementary rotations each, then one more rotation in the
+  last 2x2 corner block.
 
-Either scheme hands ``_assemble`` one stream of adjacent-axis Givens
-rotations in time order and the one sign diagonal that ends the program. A
-rotation merges into the last rotation on its qubits when that one has the
-same axis. A ``GateProgram`` holds the axes and the angles as arrays, and the
-diagonal as the letters of the Pauli layer, which acts last.
+Both leave a sign diagonal and end in ``_finish``, which commutes it past the
+later rotations and hands ``_assemble`` one stream of adjacent-axis Givens
+rotations in time order and the diagonal. A rotation merges into the last
+rotation on its qubits when that one has the same axis. A ``GateProgram``
+holds the axes and the angles as arrays, and the diagonal as the letters of
+the Pauli layer, which acts last.
 
 Conventions (Heisenberg action U^dag g_u U = sum_v O_uv g_v), by JSON kind:
 * axis 2p,   "zrot"  exp(-i t Z_p / 2):        Givens(t) on axes (2p, 2p+1)
@@ -37,6 +37,7 @@ recomposed matrices are bit-identical to theirs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import atan2, cos, sin
 
 import numpy as np
@@ -177,6 +178,20 @@ def _assemble(n_qubits: int, rotations, signs) -> GateProgram:
     return GateProgram(n_qubits, axes[keep], thetas[keep], letters)
 
 
+def _finish(m: np.ndarray, rotations, left: list) -> GateProgram:
+    """The program of ``rotations``, diag(d) with d = sign(diag m), then ``left`` reversed.
+
+    The elimination has left m diagonal. d acts last, as the Pauli layer; pushing
+    it past a rotation on axes (a, a + 1) multiplies the angle by d[a] * d[a + 1].
+    """
+    # bugs leave O(1) residue; honest roundoff stays far below this
+    if not np.max(np.abs(m - np.diag(np.diag(m)))) <= TOL.elimination_residual:
+        raise ValueError("elimination failed to diagonalize the input")
+    d = np.sign(np.diag(m))
+    pushed = ((a, (d[a] * d[a + 1]) * theta) for a, theta in reversed(left))
+    return _assemble(len(m) // 2, chain(rotations, pushed), d)
+
+
 def _check_orthogonal(q: np.ndarray):
     q = np.asarray(q, dtype=float)
     dim = q.shape[0]
@@ -222,17 +237,13 @@ def compile_naive(q: np.ndarray) -> GateProgram:
         y[rows, cols] = 0.0
         angles[rows, cols] = thetas
         done[rows, cols] = True
-    d = np.sign(np.diag(y))
-    # bugs leave O(1) residue; honest roundoff stays far below this
-    if np.max(np.abs(y - np.diag(np.diag(y)))) > TOL.elimination_residual:
-        raise ValueError("QR elimination failed to diagonalize the input")
     # sequential order: column j ascending, row i descending
     cols, flipped = np.nonzero(done.T[:, ::-1])
     rows = dim - 1 - flipped
     # one pair at a time: whole .tolist() lists raised the perfbench compile
     # round's peak RSS by 0.2 MB
     stream = ((i - 1, -theta) for i, theta in zip(map(int, rows), map(float, angles[rows, cols])))
-    return _assemble(dim // 2, stream, d)
+    return _finish(y, stream, [])
 
 
 def _eliminate(m: np.ndarray, steps, lower: bool, rotations: list):
@@ -261,11 +272,11 @@ def compile_blocked(q: np.ndarray) -> GateProgram:
     Sweeps anti-diagonals of the n x n block grid, alternating right
     (column) and left (row) eliminations, leaving a diagonal of signs plus
     one residual 2x2 corner block: top-left for even n, bottom-right for
-    odd n. The corner is closed with a single Givens rotation. A right
-    elimination of the block at rows (r, r+1), columns (b, b+1) rotates
-    columns b..b+3, as rows of m.T, and leaves the 2x4 band [[0, 0, *, *],
-    [0, 0, 0, *]]; a left one rotates rows a..a+3 and leaves its 4x2 band
-    upper triangular.
+    odd n. One more left elimination closes the corner, and ``_finish`` ends
+    the program as it ends ``compile_naive``'s. A right elimination of the
+    block at rows (r, r+1), columns (b, b+1) rotates columns b..b+3, as rows
+    of m.T, and leaves the 2x4 band [[0, 0, *, *], [0, 0, 0, *]]; a left one
+    rotates rows a..a+3 and leaves its 4x2 band upper triangular.
     """
     q = _check_orthogonal(q)
     dim = q.shape[0]
@@ -285,31 +296,9 @@ def compile_blocked(q: np.ndarray) -> GateProgram:
                 steps = ((a + 2, c), (a + 1, c), (a, c), (a + 2, c + 1), (a + 1, c + 1))
                 _eliminate(m, steps, True, left)
 
-    corner = 0 if n % 2 == 0 else n - 1
-    ca = 2 * corner
-    block = m[ca:ca + 2, ca:ca + 2].copy()
-    d_corner = np.eye(2)
-    if np.linalg.det(block) < 0:
-        d_corner = np.diag([1.0, -1.0])
-    rot = d_corner @ block
-    theta_c = atan2(rot[1, 0], rot[0, 0])
-
-    d_vec = np.sign(np.diag(m))
-    d_vec[ca] = d_corner[0, 0]
-    d_vec[ca + 1] = d_corner[1, 1]
-
-    expected = np.diag(d_vec.copy())
-    expected[ca:ca + 2, ca:ca + 2] = d_corner @ [[cos(theta_c), -sin(theta_c)],
-                                                 [sin(theta_c), cos(theta_c)]]
-    if np.max(np.abs(m - expected)) > TOL.elimination_residual:
-        raise ValueError("block elimination failed to reach the corner form")
-
-    # time order: right factors, corner rotation, sign diagonal, then the left
-    # factors in reverse; pushing the diagonal past a rotation on axes (a, a+1)
-    # multiplies its angle by d[a] * d[a+1]
-    rotations = right + [(ca, theta_c)]
-    rotations += [(a, (d_vec[a] * d_vec[a + 1]) * theta) for a, theta in reversed(left)]
-    return _assemble(n, rotations, d_vec)
+    corner = 0 if n % 2 == 0 else dim - 2
+    _eliminate(m, ((corner, corner),), True, left)
+    return _finish(m, right, left)
 
 
 def program_to_orthogonal(p: GateProgram) -> np.ndarray:

@@ -53,7 +53,7 @@ __all__ = [
 def _check_antisymmetric(m: np.ndarray, tol: float, what: str):
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
         raise ValueError(f"{what} must be a square even-dimensional matrix")
-    if np.max(np.abs(m + m.T)) > tol:
+    if not np.max(np.abs(m + m.T)) <= tol:
         raise ValueError(f"{what} is not antisymmetric within {tol}")
 
 
@@ -65,7 +65,7 @@ class CovarianceMatrix:
         if validate:
             _check_antisymmetric(m, TOL.antisymmetry, "covariance matrix")
             evals = np.linalg.eigvalsh(-m @ m)
-            if evals.min() < -TOL.state_validity or evals.max() > 1.0 + TOL.state_validity:
+            if not -TOL.state_validity <= evals.min() <= evals.max() <= 1.0 + TOL.state_validity:
                 raise ValueError("covariance matrix does not describe a valid state")
         m.setflags(write=False)
         self.matrix = m
@@ -123,7 +123,7 @@ class SlaterDeterminant:
         n, eta = v.shape
         if not 0 <= eta <= n:
             raise ValueError("particle count must lie in [0, n]")
-        if eta and np.max(np.abs(v.conj().T @ v - np.eye(eta))) > TOL.isometry:
+        if eta and not np.max(np.abs(v.conj().T @ v - np.eye(eta))) <= TOL.isometry:
             raise ValueError("columns are not orthonormal")
         v.setflags(write=False)
         self.isometry = v
@@ -154,7 +154,7 @@ def evolve(g: CovarianceMatrix, q: np.ndarray) -> CovarianceMatrix:
     q = np.asarray(q, dtype=float)
     if q.shape != g.matrix.shape:
         raise ValueError("rotation dimension mismatch")
-    if np.max(np.abs(q @ q.T - np.eye(q.shape[0]))) > TOL.orthogonality:
+    if not np.max(np.abs(q @ q.T - np.eye(q.shape[0]))) <= TOL.orthogonality:
         raise ValueError("rotation matrix is not orthogonal")
     return CovarianceMatrix(q @ g.matrix @ q.T, validate=False)
 
@@ -200,7 +200,7 @@ def canonical_form(h: QuadraticHamiltonian) -> CanonicalForm:
 
     form = CanonicalForm(q=q, eps=eps, det_sign=int(round(np.linalg.det(q))))
     recon = q @ form.lambda_matrix() @ q.T
-    if np.max(np.abs(recon - a)) > TOL.reconstruction * scale:
+    if not np.max(np.abs(recon - a)) <= TOL.reconstruction * scale:
         raise ValueError("canonical form reconstruction failed")
     return form
 
@@ -232,7 +232,7 @@ def pfaffian(a: np.ndarray) -> float:
     if dim == 0:
         return 1.0
     scale = 1.0 + np.max(np.abs(a))
-    if np.max(np.abs(a + a.T)) > max(TOL.antisymmetry, TOL.pfaffian_antisymmetry * scale):
+    if not np.max(np.abs(a + a.T)) <= max(TOL.antisymmetry, TOL.pfaffian_antisymmetry * scale):
         raise ValueError("pfaffian input is not antisymmetric")
     pf = 1.0
     for k in range(0, dim - 2, 2):
@@ -312,7 +312,7 @@ def embed_unitary(u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
-    if u.shape != (n, n) or np.max(np.abs(u.conj().T @ u - np.eye(n))) > TOL.orthogonality:
+    if u.shape != (n, n) or not np.max(np.abs(u.conj().T @ u - np.eye(n))) <= TOL.orthogonality:
         raise ValueError("input is not unitary")
     q = np.zeros((2 * n, 2 * n))
     q[0::2, 0::2] = u.real

@@ -361,7 +361,7 @@ def rotation_plan(members: list[tuple[int, ...]], betas) -> RotationPlan:
         raise ValueError("all coefficients vanish")
     members = [members[i] for i in keep]
     betas = betas[keep]
-    if abs(np.sum(betas ** 2) - 1.0) > TOL.normalization:
+    if not abs(np.sum(betas ** 2) - 1.0) <= TOL.normalization:
         raise ValueError("coefficients must be l2-normalized")
     target = members[-1]
     if len(members) == 1:

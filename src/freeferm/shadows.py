@@ -437,11 +437,12 @@ def exact_two_rdm(d1: np.ndarray) -> np.ndarray:
     Entry ((p, q), (r, s)) is <a_p+ a_q+ a_s a_r> = D_rp D_sq - D_sp D_rq,
     with D_pq = <a_q+ a_p> the one-body RDM.
     """
-    d1 = np.asarray(d1)
-    n = d1.shape[0]
-    pairs = list(combinations(range(n), 2))
-    out = np.zeros((len(pairs), len(pairs)), dtype=complex)
-    for i, (p, q) in enumerate(pairs):
-        for j, (r, s) in enumerate(pairs):
-            out[i, j] = d1[r, p] * d1[s, q] - d1[s, p] * d1[r, q]
+    d1 = np.asarray(d1, dtype=complex)
+    lo, hi = np.triu_indices(d1.shape[0], 1)  # the pairs p < q in combinations order
+    # D_rp, D_sq, D_sp, D_rq; each product written out, since numpy's complex
+    # array multiply can round the last bit differently from the scalar product
+    x, y, u, v = d1[lo, lo[:, None]], d1[hi, hi[:, None]], d1[hi, lo[:, None]], d1[lo, hi[:, None]]
+    out = np.empty(x.shape, dtype=complex)
+    out.real = (x.real * y.real - x.imag * y.imag) - (u.real * v.real - u.imag * v.imag)
+    out.imag = (x.real * y.imag + x.imag * y.real) - (u.real * v.imag + u.imag * v.real)
     return out

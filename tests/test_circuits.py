@@ -147,6 +147,15 @@ def test_blocked_identity():
     assert prog == GateProgram(4, [], [], "IIII")
 
 
+def test_sign_diagonals_compile_to_the_pauli_layer_alone():
+    # a sign diagonal needs no rotation, also in the blocked scheme's corner block
+    diagonals = [np.diag(signs) for n in (1, 2, 3) for signs in product((1.0, -1.0), repeat=2 * n)]
+    for q in diagonals + [-np.eye(8)]:
+        prog = compile_blocked(q)
+        assert prog == compile_naive(q), np.diag(q)
+        assert prog.stats().rotation_count == 0, np.diag(q)
+
+
 @pytest.mark.parametrize("n", list(range(1, 9)))
 def test_round_trip_both_schemes(n, rng):
     for _ in range(100):

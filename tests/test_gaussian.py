@@ -1,5 +1,6 @@
 """Gaussian-state engine against the dense oracle."""
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -187,6 +188,39 @@ def test_pfaffian_congruence(rng):
 def test_pfaffian_rejects_symmetric():
     with pytest.raises(ValueError):
         ff.pfaffian(np.eye(4))
+
+
+def _nan_at_corner(m):
+    m = np.array(m)
+    m[0, 0] = np.nan
+    return m
+
+
+def _canonical_form_of_nan_schur():
+    # QuadraticHamiltonian rejects a NaN itself, so the Schur factor brings one in
+    t = np.array([[0.0, np.nan], [1.0, 0.0]])
+    with mock.patch("scipy.linalg.schur", return_value=(t, np.eye(2))):
+        ff.canonical_form(ff.QuadraticHamiltonian(np.zeros((2, 2))))
+
+
+VACUUM = ff.vacuum_covariance(2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ff.CovarianceMatrix(_nan_at_corner(VACUUM.matrix)), "not antisymmetric"),
+    (lambda: ff.QuadraticHamiltonian(_nan_at_corner(VACUUM.matrix)), "not antisymmetric"),
+    (lambda: ff.evolve(VACUUM, _nan_at_corner(np.eye(4))), "not orthogonal"),
+    (lambda: ff.SlaterDeterminant(_nan_at_corner(np.eye(4)[:, :2])), "not orthonormal"),
+    (lambda: ff.embed_unitary(_nan_at_corner(np.eye(2, dtype=complex))), "not unitary"),
+    (lambda: ff.pfaffian(_nan_at_corner(VACUUM.matrix)), "not antisymmetric"),
+    (lambda: ff.rotation_plan([(0, 1), (1, 2)], [np.nan, 1.0]), "l2-normalized"),
+    (_canonical_form_of_nan_schur, "reconstruction failed"),
+], ids=["covariance", "hamiltonian", "evolve", "slater", "embed_unitary", "pfaffian",
+        "rotation_plan", "canonical_form"])
+def test_threshold_checks_reject_nan(call, message):
+    # NaN compares False both ways, so a check written as residual > tol lets it through
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # --------------------------------------------------------------------- wick

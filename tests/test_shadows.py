@@ -429,6 +429,16 @@ def test_exact_two_rdm_identity_slater():
     assert np.trace(d2).real == pytest.approx(1.0)  # binom(eta, 2)
 
 
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_exact_two_rdm_rounds_as_scalar_products(n, rng):
+    # error_curve.csv compares against this truth, so its every bit is pinned
+    d1 = one_rdm(random_slater(n, n // 2 + 1, rng))
+    pairs = list(combinations(range(n), 2))
+    ref = np.array([[d1[r, p] * d1[s, q] - d1[s, p] * d1[r, q] for r, s in pairs]
+                    for p, q in pairs])
+    assert exact_two_rdm(d1).tobytes() == ref.tobytes()
+
+
 def reference_two_rdm(est, n):
     """Entry-by-entry assembly through the symbolic ladder expansion."""
     pairs = list(combinations(range(n), 2))
