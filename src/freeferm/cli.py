@@ -117,6 +117,7 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
         noise_model = _parse_noise(noise)
         spec = symmetry_spec(modes, eta)
         os.makedirs(out, exist_ok=True)
+        writer = io.SampleWriter(os.path.join(out, "samples.csv")) if save_samples else None
     except (ValueError, MitigationError, OSError) as err:
         _fail("invalid-argument", str(err))
 
@@ -131,7 +132,6 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
     d2_exact = exact_two_rdm(one_rdm(slater)) if kmax >= 2 else None
     checkpoints = _checkpoints(samples)
     acc = ShadowAccumulator(n_sim, kmax)
-    writer = io.SampleWriter(os.path.join(out, "samples.csv")) if save_samples else None
 
     def run_chunk(index, size):
         perms, signs, bits = sample_snapshots(cov, size, _chunk_rng(seed, index), group,
@@ -175,11 +175,15 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
     if writer is not None:
         writer.close()
 
-    io.write_estimates(os.path.join(out, "estimates.json"), acc.sector_means(), acc.count, n_sim)
-    with open(os.path.join(out, "error_curve.csv"), "w") as fh:
-        fh.write("T,unmitigated_error,mitigated_error\n")
-        for t, raw, mit in curve_rows:
-            fh.write(f"{t},{raw!r},{mit!r}\n")
+    try:
+        io.write_estimates(os.path.join(out, "estimates.json"), acc.sector_means(), acc.count,
+                           n_sim)
+        with open(os.path.join(out, "error_curve.csv"), "w") as fh:
+            fh.write("T,unmitigated_error,mitigated_error\n")
+            for t, raw, mit in curve_rows:
+                fh.write(f"{t},{raw!r},{mit!r}\n")
+    except OSError as err:
+        _fail("invalid-argument", str(err))
     click.echo(f"wrote {out}/estimates.json and {out}/error_curve.csv (T={acc.count})")
 
 

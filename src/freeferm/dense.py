@@ -55,7 +55,7 @@ class DenseState:
         _guard(self.n_modes)
         if self.vector.shape != (2 ** self.n_modes,):
             raise ValueError("vector dimension must be 2^n_modes")
-        if abs(np.linalg.norm(self.vector) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(self.vector) - 1.0) <= 1e-10:
             raise ValueError("state vector must be normalized")
 
 
@@ -136,7 +136,7 @@ def exp_one_body(n_modes: int, h: np.ndarray) -> DenseOperator:
     Satisfies U^dag a_p U = sum_q u_pq a_q with u = expm(-i h).
     """
     _guard(n_modes, MAX_EXP_MODES)
-    if np.max(np.abs(h - h.conj().T)) > 1e-10:
+    if not np.max(np.abs(h - h.conj().T)) <= 1e-10:
         raise ValueError("one-body coefficient matrix must be Hermitian")
     d = 2 ** n_modes
     big = np.zeros((d, d), dtype=complex)
@@ -160,7 +160,7 @@ def expectation(psi: DenseState, op: DenseOperator) -> complex:
 def born_distribution(psi: DenseState) -> np.ndarray:
     probs = np.abs(psi.vector) ** 2
     total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise ValueError("state not normalized")
     return probs / total
 

@@ -71,10 +71,6 @@ class CovarianceMatrix:
         self.matrix = m
         self.n_modes = m.shape[0] // 2
 
-    def is_pure(self) -> bool:
-        m = self.matrix
-        return np.max(np.abs(m @ m.T - np.eye(2 * self.n_modes))) <= TOL.purity
-
     def __repr__(self):
         return f"CovarianceMatrix(n_modes={self.n_modes})"
 
@@ -232,6 +228,8 @@ def pfaffian(a: np.ndarray) -> float:
     if dim == 0:
         return 1.0
     scale = 1.0 + np.max(np.abs(a))
+    if not np.isfinite(scale):
+        raise ValueError("pfaffian input is not antisymmetric: it has a non-finite entry")
     if not np.max(np.abs(a + a.T)) <= max(TOL.antisymmetry, TOL.pfaffian_antisymmetry * scale):
         raise ValueError("pfaffian input is not antisymmetric")
     pf = 1.0

@@ -40,15 +40,9 @@ __all__ = [
 
 _PHASES = (1, 1j, -1, -1j)
 
-# site-wise single-qubit Pauli products: (a, b) -> (letter, power of i)
-_PAULI_MULT = {
-    ("I", "I"): ("I", 0), ("I", "X"): ("X", 0), ("I", "Y"): ("Y", 0), ("I", "Z"): ("Z", 0),
-    ("X", "I"): ("X", 0), ("Y", "I"): ("Y", 0), ("Z", "I"): ("Z", 0),
-    ("X", "X"): ("I", 0), ("Y", "Y"): ("I", 0), ("Z", "Z"): ("I", 0),
-    ("X", "Y"): ("Z", 1), ("Y", "X"): ("Z", 3),
-    ("Y", "Z"): ("X", 1), ("Z", "Y"): ("X", 3),
-    ("Z", "X"): ("Y", 1), ("X", "Z"): ("Y", 3),
-}
+# qubit q of a Jordan-Wigner image, by code [2q in S] + 2 [2q+1 in S]: the letter and
+# power of i for an even and for an odd number of indices of S above 2q+1
+_SITE = (("IZ", (0, 0)), ("XY", (0, 3)), ("YX", (0, 1)), ("ZI", (1, 1)))
 
 
 def _parity(seq) -> int:
@@ -114,19 +108,8 @@ class MajoranaMonomial:
         """Phase relative to the canonical Hermitian monomial on the same set."""
         return _PHASES[(self.phase_pow_i - canonical_phase_pow(self.degree)) % 4]
 
-    @property
-    def is_canonical(self) -> bool:
-        return self.phase_pow_i == canonical_phase_pow(self.degree)
-
     def __mul__(self, other: "MajoranaMonomial") -> "MajoranaMonomial":
         return multiply(self, other)
-
-    def to_json(self) -> dict:
-        return {"indices": list(self.indices), "phase_pow_i": self.phase_pow_i}
-
-    @classmethod
-    def from_json(cls, n_modes: int, data: dict) -> "MajoranaMonomial":
-        return cls(n_modes, tuple(data["indices"]), data["phase_pow_i"])
 
     def __str__(self):
         body = "g(" + ",".join(map(str, self.indices)) + ")" if self.indices else "1"
@@ -153,26 +136,9 @@ class PauliString:
     def phase(self) -> complex:
         return _PHASES[self.phase_pow_i]
 
-    @property
-    def weight(self) -> int:
-        return sum(c != "I" for c in self.letters)
-
     def __str__(self):
         pre = {0: "+", 1: "+i*", 2: "-", 3: "-i*"}[self.phase_pow_i]
         return pre + self.letters
-
-
-def multiply_pauli_letters(a: str, b: str) -> tuple[str, int]:
-    """Site-wise product of two Pauli letter strings, returning (letters, i power)."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    out = []
-    pow_i = 0
-    for x, y in zip(a, b):
-        letter, k = _PAULI_MULT[(x, y)]
-        out.append(letter)
-        pow_i += k
-    return "".join(out), pow_i % 4
 
 
 @dataclass(frozen=True)
@@ -230,14 +196,6 @@ class SignedPermutation:
             inv[v] = u
         return tuple(inv)
 
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """Matrix product self.matrix() @ other.matrix() as a SignedPermutation."""
-        if self.n_modes != other.n_modes:
-            raise ValueError("mode-count mismatch")
-        perm = tuple(other.perm[self.perm[u]] for u in range(len(self.perm)))
-        signs = tuple(self.signs[u] * other.signs[self.perm[u]] for u in range(len(self.perm)))
-        return SignedPermutation(self.n_modes, perm, signs)
-
     def inverse(self) -> "SignedPermutation":
         inv = self.inverse_perm()
         signs = tuple(self.signs[inv[u]] for u in range(len(self.perm)))
@@ -269,16 +227,21 @@ def anticommutes(a: MajoranaMonomial, b: MajoranaMonomial) -> bool:
 
 
 def to_pauli(m: MajoranaMonomial) -> PauliString:
-    """Jordan-Wigner image of a monomial, with all phases multiplied out."""
-    n = m.n_modes
-    letters = "I" * n
-    pow_i = m.phase_pow_i
+    """Jordan-Wigner image of a monomial, with all phases multiplied out.
+
+    Qubit q reads X for index 2q, then Y for 2q+1 (X Y = iZ), then one Z for
+    each index above 2q+1 (X Z = -iY, Y Z = iX, Z Z = I).
+    """
+    site = [0] * m.n_modes
     for u in m.indices:
-        p = u // 2
-        gen = "Z" * p + ("X" if u % 2 == 0 else "Y") + "I" * (n - p - 1)
-        letters, k = multiply_pauli_letters(letters, gen)
-        pow_i += k
-    return PauliString(letters, pow_i % 4)
+        site[u // 2] += 1 + u % 2
+    letters, pow_i, above = [], m.phase_pow_i, m.degree
+    for code in site:
+        above -= (code + 1) // 2  # the indices 2q and 2q+1 present
+        pair, pows = _SITE[code]
+        letters.append(pair[above % 2])
+        pow_i += pows[above % 2]
+    return PauliString("".join(letters), pow_i % 4)
 
 
 def conjugate(q: SignedPermutation, m: MajoranaMonomial) -> MajoranaMonomial:

@@ -15,7 +15,6 @@ class Tolerances:
     hamiltonian_antisymmetry: float = 1e-10  # max-norm of A + A^T, A a coefficient matrix
     pfaffian_antisymmetry: float = 1e-10     # max-norm of A + A^T in units of 1 + max|A|
     state_validity: float = 1e-10    # slack on eigenvalues of -M^2 in [0, 1]
-    purity: float = 1e-9             # max-norm of M M^T - I for pure states
     orthogonality: float = 1e-8      # max-norm of Q Q^T - I
     isometry: float = 1e-10          # max-norm of V^dag V - I
     schur_block: float = 1e-12       # Schur subdiagonal opening a 2x2 block, in units of max|A|

@@ -12,7 +12,7 @@ from scipy.stats import ortho_group, unitary_group
 import freeferm as ff
 from freeferm import CovarianceMatrix, MajoranaMonomial, SlaterDeterminant, dense, oracle
 from freeferm.circuits import GateProgram, _assemble, _check_orthogonal
-from freeferm.majorana import _parity, multiply_pauli_letters
+from freeferm.majorana import _parity
 from freeferm.oracle import random_antisymmetric
 
 
@@ -127,20 +127,22 @@ def reference_compile_naive(q):
 
 
 def reference_layer_letters(signs):
-    """Pauli string for g_u -> signs[u] g_u as a product of one word per flipped mode pair."""
-    n = len(signs) // 2
-    letters = "I" * n
-    for p in range(n):
-        a, b = signs[2 * p], signs[2 * p + 1]
-        if a > 0 and b > 0:
-            continue
-        if a < 0 and b < 0:
-            word = "I" * p + "Z" + "I" * (n - p - 1)
-        else:
-            head = "X" if a > 0 else "Y"
-            word = "I" * p + head + "Z" * (n - p - 1)
-        letters, _ = multiply_pauli_letters(letters, word)
-    return letters
+    """Pauli string for g_u -> signs[u] g_u, the Jordan-Wigner image of one monomial.
+
+    A monomial on S anticommutes with g_u iff |S| + [u in S] is odd, so S is the
+    flipped axes, or the kept ones when an odd number flip.
+    """
+    flipped = [u for u, s in enumerate(signs) if s < 0]
+    if len(flipped) % 2:
+        flipped = [u for u, s in enumerate(signs) if s > 0]
+    return ff.to_pauli(MajoranaMonomial.canonical(len(signs) // 2, flipped)).letters
+
+
+def compose(q1, q2):
+    """The signed permutation whose matrix is q1.matrix() @ q2.matrix()."""
+    perm = tuple(q2.perm[v] for v in q1.perm)
+    signs = tuple(s * q2.signs[v] for s, v in zip(q1.signs, q1.perm))
+    return ff.SignedPermutation(q1.n_modes, perm, signs)
 
 
 def reference_assemble(n_qubits, primitives):

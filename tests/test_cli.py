@@ -532,3 +532,13 @@ def test_unusable_path_is_one_error_line(runner, tmp_path, rng, command, bad_sid
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error:{code}: ")
     assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
+
+@pytest.mark.parametrize("blocked", ["samples.csv", "estimates.json", "error_curve.csv"])
+def test_shadow_sim_unusable_output_file_is_one_error_line(runner, tmp_path, blocked):
+    (tmp_path / blocked).mkdir()
+    res = runner.invoke(main, ["shadow-sim", "--modes", "2", "--eta", "1", "--samples", "10",
+                               "--kmax", "1", "--save-samples", "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:invalid-argument: ")

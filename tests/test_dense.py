@@ -5,6 +5,7 @@ from scipy.linalg import expm
 
 import freeferm as ff
 from freeferm import dense
+from freeferm.majorana import canonical_phase_pow
 
 from conftest import random_antisymmetric, random_monomial
 
@@ -126,7 +127,7 @@ def test_expectation_real_for_canonical(rng):
     for _ in range(20):
         m = random_monomial(n, rng, max_degree=6, even_only=False)
         val = dense.expectation(psi, dense.build_monomial(m))
-        if m.is_canonical:
+        if m.phase_pow_i == canonical_phase_pow(m.degree):
             assert abs(val.imag) < 1e-12
 
 
@@ -137,3 +138,20 @@ def test_guards():
         dense.gaussian_unitary(11, np.zeros((22, 22)))
     with pytest.raises(ValueError):
         dense.DenseState(2, np.array([1.0, 0.0, 0.0, 0.5]))
+
+
+def _born_of_nan_state():
+    # DenseState refuses NaN itself, so the entry is written after the check
+    psi = dense.vacuum_state(2)
+    psi.vector[0] = np.nan
+    dense.born_distribution(psi)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dense.DenseState(1, np.full(2, np.nan)), "normalized"),
+    (_born_of_nan_state, "not normalized"),
+    (lambda: dense.exp_one_body(2, np.full((2, 2), np.nan)), "Hermitian"),
+], ids=["state_norm", "born_total", "exp_one_body"])
+def test_dense_checks_reject_nan(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

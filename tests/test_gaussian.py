@@ -37,7 +37,8 @@ def test_vacuum_covariance_blocks():
     expected[0, 1] = expected[2, 3] = 1.0
     expected -= expected.T
     assert np.array_equal(m2, expected)
-    assert ff.vacuum_covariance(3).is_pure()
+    m3 = ff.vacuum_covariance(3).matrix
+    assert np.array_equal(m3 @ m3.T, np.eye(6))
 
 
 def test_vacuum_zero_modes_rejected():
@@ -188,6 +189,15 @@ def test_pfaffian_congruence(rng):
 def test_pfaffian_rejects_symmetric():
     with pytest.raises(ValueError):
         ff.pfaffian(np.eye(4))
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_pfaffian_rejects_infinite_entry(dim):
+    # the antisymmetry slack scales with 1 + max|a|, which an infinite entry makes infinite
+    a = np.zeros((dim, dim))
+    a[0, 1], a[1, 0] = np.inf, 5.0 if dim == 2 else 3.0
+    with pytest.raises(ValueError, match="non-finite"):
+        ff.pfaffian(a)
 
 
 def _nan_at_corner(m):

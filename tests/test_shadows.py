@@ -106,14 +106,6 @@ def test_b4_uniformity_chi2(rng):
     assert stat < chi2.ppf(0.99, 383)
 
 
-def test_group_closure(rng):
-    perms, signs, _ = ff.sample_snapshots(ff.vacuum_covariance(3), 2, rng)
-    a, b = (ff.SignedPermutation(3, perms[i].tolist(), signs[i].tolist()) for i in range(2))
-    c = a.compose(b)
-    assert isinstance(c, ff.SignedPermutation)
-    assert sorted(c.perm) == list(range(6))
-
-
 def test_acquire_deterministic_cases(rng):
     # Alt(2) holds only the identity, so one mode's vacuum always reads 0
     vac = ff.vacuum_covariance(1)

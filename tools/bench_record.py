@@ -224,22 +224,15 @@ def layer_timings(root: str, seed: int, timer: str, runs: int, modes: tuple) -> 
     return {"runs": runs, "median_ms": json.loads(proc.stdout)}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    parser.add_argument("--root", default=".", help="checkout to measure (default: .)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", default=None, help="output path (default: ROOT/BENCH_<label>.json)")
-    args = parser.parse_args(argv)
-
-    root = os.path.abspath(args.root)
+def measure(root: str, label: str, seed: int) -> dict:
+    """Measure the checkout at ``root`` once with ``seed``; the BENCH_<label>.json record."""
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
-    record = {"label": args.label, "seed": args.seed, "seconds": seconds,
+    record = {"label": label, "seed": seed, "seconds": seconds,
               "src_lines": src_lines(root), "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
-        entry = record_workload(root, workload, args.seed, seconds)
+        entry = record_workload(root, workload, seed, seconds)
         record["workloads"][workload] = entry
         figures = ", ".join(f"{name} {m['value']:.4g} {m['unit']}"
                             for name, m in entry["metrics"].items())
@@ -250,17 +243,33 @@ def main(argv=None) -> int:
     for name, timer, runs, modes in (
             ("compile", COMPILE_LAYER_TIMER, COMPILE_LAYER_RUNS, COMPILE_LAYER_MODES),
             ("partition", PARTITION_LAYER_TIMER, PARTITION_LAYER_RUNS, PARTITION_LAYER_MODES)):
-        record[f"{name}_layers"] = layer_timings(root, args.seed, timer, runs, modes)
+        record[f"{name}_layers"] = layer_timings(root, seed, timer, runs, modes)
         largest = record[f"{name}_layers"]["median_ms"][str(modes[-1])]
         print(f"{name} layers at n = {modes[-1]}, median ms: " + ", ".join(
             f"{layer} {ms:.2f}" for layer, ms in largest.items()), flush=True)
     record["tier1"] = tier1(root)
     print(f"tier-1: {record['tier1']}", flush=True)
-    out = args.out or os.path.join(root, f"BENCH_{args.label}.json")
-    with open(out, "w") as fh:
+    return record
+
+
+def write_record(path: str, record: dict):
+    with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    print(f"wrote {out}")
+    print(f"wrote {path}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    parser.add_argument("--root", default=".", help="checkout to measure (default: .)")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", default=None, help="output path (default: ROOT/BENCH_<label>.json)")
+    args = parser.parse_args(argv)
+
+    root = os.path.abspath(args.root)
+    write_record(args.out or os.path.join(root, f"BENCH_{args.label}.json"),
+                 measure(root, args.label, args.seed))
     return 0
 
 
