@@ -219,6 +219,12 @@ def test_signed_permutation_matrix_compose(rng):
             tuple(int(x) for x in rng.permutation(2 * n)),
             tuple(int(s) for s in rng.choice((-1, 1), size=2 * n)),
         )
+        q2 = ff.SignedPermutation(
+            n,
+            tuple(int(x) for x in rng.permutation(2 * n)),
+            tuple(int(s) for s in rng.choice((-1, 1), size=2 * n)),
+        )
+        assert np.array_equal(compose(q1, q2).matrix(), q1.matrix() @ q2.matrix())
         assert np.array_equal(q1.inverse().matrix(), q1.matrix().T)
         assert q1.determinant == int(round(np.linalg.det(q1.matrix())))
 

@@ -2,10 +2,10 @@
 
 Run from anywhere:
 
-    python3 tools/bench_pairs.py --label LABEL --parent DIR --change DIR [--pairs 10] [--out PATH]
+    python3 tools/bench_pairs.py --label LABEL --parent DIR --change DIR [--out PATH]
 
 ``--parent`` and ``--change`` are two checkouts, for example two ``git archive``
-copies. For seeds 1 to ``--pairs`` this measures each checkout once with
+copies. For seeds 1 to 10 this measures each checkout once with
 ``tools/bench_record.py``'s ``measure``, the parent first at odd seeds and the
 change first at even ones, so that a drift of the host's load falls on both
 sides. The seed-1 records go to ``BENCH_<label>_parent.json`` and
@@ -39,6 +39,8 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_record  # noqa: E402
 
+PAIRS = 10
+
 
 def figures(record: dict, better: dict) -> dict:
     """{name: (value, better)} of one run record; ``better`` maps end-to-end names."""
@@ -60,7 +62,7 @@ def figures(record: dict, better: dict) -> dict:
 
 def summarize(parent: list, change: list, better: str) -> dict:
     wins = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
-    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
+    q1, _, q3 = statistics.quantiles(parent, n=4)
     return {"better": better, "parent": parent, "change": change,
             "parent_median": statistics.median(parent),
             "change_median": statistics.median(change),
@@ -72,7 +74,6 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="names BENCH_<label>_pairs.json")
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=10, help="seeds 1..PAIRS (default: 10)")
     parser.add_argument("--out", default=None,
                         help="output path (default: CHANGE/BENCH_<label>_pairs.json)")
     args = parser.parse_args(argv)
@@ -82,7 +83,7 @@ def main(argv=None) -> int:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     out = args.out or os.path.join(roots["change"], f"BENCH_{args.label}_pairs.json")
     runs = {"parent": [], "change": []}
-    for seed in range(1, args.pairs + 1):
+    for seed in range(1, PAIRS + 1):
         for side in ("parent", "change") if seed % 2 else ("change", "parent"):
             print(f"seed {seed}: {side}", flush=True)
             label = args.label if side == "change" else f"{args.label}_parent"
@@ -92,7 +93,7 @@ def main(argv=None) -> int:
                     os.path.join(os.path.dirname(out), f"BENCH_{label}.json"), record)
             runs[side].append(figures(record, better))
     names = [name for name in runs["parent"][0] if all(name in r for r in runs["change"])]
-    result = {"label": args.label, "pairs": args.pairs,
+    result = {"label": args.label, "pairs": PAIRS,
               "src_lines": {side: bench_record.src_lines(root) for side, root in roots.items()},
               "figures": {name: summarize([r[name][0] for r in runs["parent"]],
                                           [r[name][0] for r in runs["change"]],
