@@ -117,6 +117,8 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
         noise_model = _parse_noise(noise)
         spec = symmetry_spec(modes, eta)
         os.makedirs(out, exist_ok=True)
+        for name in ("estimates.json", "error_curve.csv"):
+            open(os.path.join(out, name), "a").close()  # a blocked path fails before sampling
         writer = io.SampleWriter(os.path.join(out, "samples.csv")) if save_samples else None
     except (ValueError, MitigationError, OSError) as err:
         _fail("invalid-argument", str(err))

@@ -10,8 +10,10 @@ forces every outcome string, and a joint probability <= ``prob_clamp`` is 0.
 
 Conventions
 -----------
-* The vacuum has M = blkdiag([[0, 1], [-1, 0]], ...); an occupied mode
-  carries the opposite block sign.
+* With g_2p = a_p + a_p^dag and g_2p+1 = i(a_p^dag - a_p), a number-conserving
+  state with one-body RDM D has M[0::2, 0::2] = M[1::2, 1::2] = -2 Im D and
+  M[0::2, 1::2] = I - 2 Re D (Terhal and DiVincenzo, quant-ph/0108010). So the
+  vacuum has M = blkdiag([[0, 1], [-1, 0]], ...) and an occupied mode flips its block.
 * Applying the Gaussian rotation attached to an orthogonal Q (Heisenberg
   action g_u -> sum_v Q_uv g_v) maps M to Q M Q^T.
 * A quadratic Hamiltonian is stored as its antisymmetric coefficient
@@ -103,9 +105,8 @@ class CanonicalForm:
     def lambda_matrix(self) -> np.ndarray:
         n = len(self.eps)
         lam = np.zeros((2 * n, 2 * n))
-        for p, e in enumerate(self.eps):
-            lam[2 * p, 2 * p + 1] = e
-            lam[2 * p + 1, 2 * p] = -e
+        lam[0::2, 1::2] = np.diag(self.eps)
+        lam[1::2, 0::2] = -np.diag(self.eps)
         return lam
 
 
@@ -136,12 +137,20 @@ def fock_covariance(n_modes: int, occupied) -> CovarianceMatrix:
     """Covariance matrix of a Fock basis state with the given occupied modes."""
     if n_modes < 1:
         raise ValueError("n_modes must be positive")
-    occ = set(int(p) for p in occupied)
-    m = np.zeros((2 * n_modes, 2 * n_modes))
-    for p in range(n_modes):
-        val = -1.0 if p in occ else 1.0
-        m[2 * p, 2 * p + 1] = val
-        m[2 * p + 1, 2 * p] = -val
+    occ = [int(p) for p in occupied]
+    if any(not 0 <= p < n_modes for p in occ):
+        raise ValueError("occupied modes must lie in [0, n_modes)")
+    d = np.zeros(n_modes)
+    d[occ] = 1.0
+    return _rdm_covariance(np.diag(d))
+
+
+def _rdm_covariance(d: np.ndarray) -> CovarianceMatrix:
+    """Covariance matrix of the number-conserving Gaussian state with 1-RDM ``d``."""
+    m = np.empty((2 * len(d), 2 * len(d)))
+    m[0::2, 0::2] = m[1::2, 1::2] = -2.0 * d.imag
+    m[0::2, 1::2] = np.eye(len(d)) - 2.0 * d.real
+    m[1::2, 0::2] = -m[0::2, 1::2].T
     return CovarianceMatrix(m, validate=False)
 
 
@@ -217,14 +226,12 @@ def pfaffian(a: np.ndarray) -> float:
     """Pfaffian of a real antisymmetric matrix via Parlett-Reid elimination.
 
     Uses partial pivoting on skew-symmetric Gauss transforms; O(k^3) flops,
-    no complex arithmetic. Odd-dimensional input returns 0.
+    no complex arithmetic. Odd-dimensional antisymmetric input returns 0.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("pfaffian input must be a square matrix")
     dim = a.shape[0]
-    if dim % 2:
-        return 0.0
     if dim == 0:
         return 1.0
     scale = 1.0 + np.max(np.abs(a))
@@ -232,6 +239,8 @@ def pfaffian(a: np.ndarray) -> float:
         raise ValueError("pfaffian input is not antisymmetric: it has a non-finite entry")
     if not np.max(np.abs(a + a.T)) <= max(TOL.antisymmetry, TOL.pfaffian_antisymmetry * scale):
         raise ValueError("pfaffian input is not antisymmetric")
+    if dim % 2:
+        return 0.0
     pf = 1.0
     for k in range(0, dim - 2, 2):
         col = np.abs(a[k + 1:, k])
@@ -320,26 +329,9 @@ def embed_unitary(u: np.ndarray) -> np.ndarray:
     return q
 
 
-def _complete_isometry(v: np.ndarray) -> np.ndarray:
-    """Unitary whose first columns are exactly the given isometry."""
-    n, eta = v.shape
-    if eta == n:
-        return v
-    if eta == 0:
-        return np.eye(n, dtype=complex)
-    # the complement of scipy.linalg.null_space (same SVD driver and rank rule), from numpy
-    a = v.conj().T
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = np.sum(s > np.amax(s) * (np.finfo(s.dtype).eps * max(a.shape)), dtype=int)
-    return np.hstack([v, vh[rank:].T.conj()])
-
-
 def slater_covariance(s: SlaterDeterminant) -> CovarianceMatrix:
-    """Covariance matrix of a Slater determinant."""
-    v = _complete_isometry(s.isometry)
-    q = embed_unitary(v)
-    base = fock_covariance(s.n_modes, range(s.eta))
-    return evolve(base, q)
+    """Covariance matrix of a Slater determinant, read off its one-body RDM."""
+    return _rdm_covariance(one_rdm(s))
 
 
 def _condition(matrix: np.ndarray, perms: np.ndarray, signs: np.ndarray,

@@ -4,12 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 import freeferm as ff
 from freeferm import dense, oracle
 from freeferm.gaussian import (
-    _complete_isometry,
     _condition,
     measurement_distribution,
     slater_covariance,
@@ -163,6 +162,9 @@ def test_pfaffian_small_cases():
     block[2, 3], block[3, 2] = 3.0, -3.0
     assert abs(ff.pfaffian(block) - 6.0) < 1e-12
     assert ff.pfaffian(np.zeros((3, 3))) == 0.0
+    odd = np.zeros((3, 3))
+    odd[0, 1], odd[1, 0], odd[1, 2], odd[2, 1] = 2.0, -2.0, 0.5, -0.5
+    assert ff.pfaffian(odd) == 0.0
     assert ff.pfaffian(np.zeros((0, 0))) == 1.0
 
 
@@ -223,10 +225,12 @@ VACUUM = ff.vacuum_covariance(2)
     (lambda: ff.SlaterDeterminant(_nan_at_corner(np.eye(4)[:, :2])), "not orthonormal"),
     (lambda: ff.embed_unitary(_nan_at_corner(np.eye(2, dtype=complex))), "not unitary"),
     (lambda: ff.pfaffian(_nan_at_corner(VACUUM.matrix)), "not antisymmetric"),
+    (lambda: ff.pfaffian(np.full((3, 3), np.nan)), "non-finite"),
+    (lambda: ff.pfaffian(np.eye(3)), "not antisymmetric"),
     (lambda: ff.rotation_plan([(0, 1), (1, 2)], [np.nan, 1.0]), "l2-normalized"),
     (_canonical_form_of_nan_schur, "reconstruction failed"),
 ], ids=["covariance", "hamiltonian", "evolve", "slater", "embed_unitary", "pfaffian",
-        "rotation_plan", "canonical_form"])
+        "pfaffian_odd_nan", "pfaffian_odd_symmetric", "rotation_plan", "canonical_form"])
 def test_threshold_checks_reject_nan(call, message):
     # NaN compares False both ways, so a check written as residual > tol lets it through
     with pytest.raises(ValueError, match=message):
@@ -282,7 +286,7 @@ def test_slater_amplitude_identity_isometry():
 def test_slater_amplitudes_match_dense(rng):
     n, eta = 4, 2
     s = random_slater(n, eta, rng)
-    v = _complete_isometry(s.isometry)
+    v = np.hstack([s.isometry, null_space(s.isometry.conj().T)])
     h = 1j * np.asarray(__import__("scipy.linalg", fromlist=["logm"]).logm(v))
     psi = dense.apply(dense.exp_one_body(n, h), dense.fock_state(n, "1100"))
     for occ in combinations(range(n), eta):
@@ -310,7 +314,7 @@ def test_one_rdm_matches_dense(n, eta, rng):
     from scipy.linalg import logm
 
     s = random_slater(n, eta, rng)
-    v = _complete_isometry(s.isometry)
+    v = np.hstack([s.isometry, null_space(s.isometry.conj().T)])
     psi = dense.apply(
         dense.exp_one_body(n, 1j * logm(v)),
         dense.fock_state(n, "1" * eta + "0" * (n - eta)),
@@ -320,6 +324,8 @@ def test_one_rdm_matches_dense(n, eta, rng):
         for q in range(n):
             op = dense.DenseOperator(n, dense.ladder(n, q, dagger=True) @ dense.ladder(n, p))
             assert abs(d1[p, q] - dense.expectation(psi, op)) < 1e-10
+    # every degree-2 and degree-4 moment of the covariance read off d1
+    assert oracle.wick_deviation(slater_covariance(s), psi, (2, 4)) <= 1e-10
 
 
 def test_k_rdm_wick_identity(rng):
@@ -340,7 +346,7 @@ def test_k_rdm_matches_dense(rng):
 
     n, eta = 4, 2
     s = random_slater(n, eta, rng)
-    v = _complete_isometry(s.isometry)
+    v = np.hstack([s.isometry, null_space(s.isometry.conj().T)])
     psi = dense.apply(
         dense.exp_one_body(n, 1j * logm(v)),
         dense.fock_state(n, "1100"),
@@ -381,6 +387,13 @@ def test_embed_unitary_cases(rng):
         ff.embed_unitary(np.ones((2, 2)))
 
 
+def test_fock_covariance_rejects_out_of_range_mode():
+    # a negative index would otherwise land on the last mode
+    for occupied in ([5], [-1]):
+        with pytest.raises(ValueError, match="occupied modes"):
+            ff.fock_covariance(2, occupied)
+
+
 def test_slater_covariance_matches_wick(rng):
     n, eta = 4, 2
     s = random_slater(n, eta, rng)
@@ -393,17 +406,19 @@ def test_slater_covariance_matches_wick(rng):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_complete_isometry_equals_scipy_null_space(seed):
-    # the complement comes from numpy's SVD with scipy's rank rule; fixed-seed
-    # shadow-sim outputs stay as they were only while the two agree bit for bit
-    from scipy.linalg import null_space
-
+def test_slater_covariance_matches_embedding(seed):
+    # the closed form against the Fock covariance rotated by the completed isometry,
+    # also with the zero row shadow-sim appends for an ancilla mode
     rng = np.random.default_rng(seed)
     for n in range(2, 25):
         u = random_unitary(n, rng)
         for eta in sorted({0, 1, n // 2, n - 1, n}):
-            v = ff.SlaterDeterminant(u[:, :eta]).isometry
-            assert np.array_equal(_complete_isometry(v), np.hstack([v, null_space(v.conj().T)]))
+            for v in (u[:, :eta], np.vstack([u[:, :eta], np.zeros((1, eta))])):
+                s = ff.SlaterDeterminant(v)
+                completed = np.hstack([s.isometry, null_space(s.isometry.conj().T)])
+                ref = ff.evolve(ff.fock_covariance(s.n_modes, range(eta)),
+                                ff.embed_unitary(completed))
+                assert np.max(np.abs(slater_covariance(s).matrix - ref.matrix)) <= 1e-12
 
 
 # ----------------------------------------------------------------- sampling
