@@ -543,6 +543,5 @@ def test_shadow_sim_unusable_output_file_is_one_error_line(runner, tmp_path, blo
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:invalid-argument: ")
     if blocked != "samples.csv":
-        # the run failed before its first chunk: samples.csv holds no row
-        samples = tmp_path / "samples.csv"
-        assert not samples.exists() or len(samples.read_bytes().splitlines()) <= 1
+        # the run failed before its first chunk, so it wrote no sample row
+        assert not (tmp_path / "samples.csv").exists()
