@@ -160,19 +160,19 @@ def _assemble(n_qubits: int, rotations, signs) -> GateProgram:
     on those qubits when that has the same axis. Angles are wrapped into
     [-pi, pi) and those below ``TOL.rotation_cut`` dropped.
     """
-    rots: list[list] = []  # [axis, theta]
-    last_on_qubit = [-1] * n_qubits
+    axes, thetas, last_on_qubit = [], [], [-1] * n_qubits
     for axis, theta in rotations:
         lo, hi = axis // 2, (axis + 1) // 2
         prev = max(last_on_qubit[lo], last_on_qubit[hi])
-        if prev >= 0 and rots[prev][0] == axis:
-            rots[prev][1] += theta
+        if prev >= 0 and axes[prev] == axis:
+            thetas[prev] += theta
         else:
-            last_on_qubit[lo] = last_on_qubit[hi] = len(rots)
-            rots.append([axis, theta])
+            last_on_qubit[lo] = last_on_qubit[hi] = len(axes)
+            axes.append(axis)
+            thetas.append(theta)
 
-    axes = np.array([axis for axis, _ in rots], dtype=np.int64)
-    thetas = (np.array([theta for _, theta in rots], dtype=float) + np.pi) % (2 * np.pi) - np.pi
+    axes = np.array(axes, dtype=np.int64)
+    thetas = (np.array(thetas, dtype=float) + np.pi) % (2 * np.pi) - np.pi
     keep = np.abs(thetas) >= TOL.rotation_cut
     letters = _layer_letters([1.0 if s > 0 else -1.0 for s in signs])
     return GateProgram(n_qubits, axes[keep], thetas[keep], letters)

@@ -22,7 +22,7 @@ import numpy.random  # numpy loads it lazily; every shadow-sim chunk draws from 
 
 from . import io
 from .circuits import compile_blocked, compile_naive, program_to_orthogonal
-from .gaussian import SlaterDeterminant, one_rdm, slater_covariance
+from .gaussian import SlaterDeterminant, _rdm_covariance, one_rdm
 from .partition import (
     analytic_partition,
     greedy_partition,
@@ -123,22 +123,18 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
     except (ValueError, MitigationError, OSError) as err:
         _fail("invalid-argument", str(err))
 
-    slater = _random_slater(modes, eta, seed)
-    isometry = slater.isometry
-    if spec.ancilla_added:
-        isometry = np.vstack([isometry, np.zeros((1, eta))])
-    cov = slater_covariance(SlaterDeterminant(isometry))
-    n_sim = spec.n_modes
-
+    d = one_rdm(_random_slater(modes, eta, seed))
+    # the ancilla is an empty extra mode: a zero row and column of the one-body RDM
+    cov = _rdm_covariance(np.pad(d, (0, 1)) if spec.ancilla_added else d)
     # only the two-body error curve reads it, and it needs kmax >= 2
-    d2_exact = exact_two_rdm(one_rdm(slater)) if kmax >= 2 else None
+    d2_exact = exact_two_rdm(d) if kmax >= 2 else None
     checkpoints = _checkpoints(samples)
-    acc = ShadowAccumulator(n_sim, kmax)
+    acc = ShadowAccumulator(spec.n_modes, kmax)
 
     def run_chunk(index, size):
         perms, signs, bits = sample_snapshots(cov, size, _chunk_rng(seed, index), group,
                                               noise_model)
-        part = ShadowAccumulator(n_sim, kmax)
+        part = ShadowAccumulator(spec.n_modes, kmax)
         part.add_batch(perms, signs, bits)
         return part, ((perms, signs, bits) if writer is not None else None)
 
@@ -179,7 +175,7 @@ def cmd_shadow_sim(modes, eta, samples, group, noise, kmax, seed, out, threads, 
 
     try:
         io.write_estimates(os.path.join(out, "estimates.json"), acc.sector_means(), acc.count,
-                           n_sim)
+                           spec.n_modes)
         with open(os.path.join(out, "error_curve.csv"), "w") as fh:
             fh.write("T,unmitigated_error,mitigated_error\n")
             for t, raw, mit in curve_rows:

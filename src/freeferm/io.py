@@ -1,10 +1,12 @@
 """JSON and CSV serialization for matrices, programs, integrals, and samples.
 
 Floats are serialized with Python's shortest round-trip representation, so
-every double survives a write/read cycle bit-exactly.
+every double survives a write/read cycle bit-exactly. The JSON readers pause
+the cyclic collector: parsed JSON holds no reference cycles, so passes free nothing.
 """
 from __future__ import annotations
 
+import gc
 import json
 from itertools import chain
 from operator import itemgetter
@@ -31,6 +33,18 @@ def _floats(values: list, name) -> np.ndarray:
         return np.array(values, dtype=float)
     k = next(k for k, v in enumerate(values) if type(v) not in (int, float))
     raise ValueError(f"{name(k)} is not a number: {values[k]!r}")
+
+
+def _read_json(path, convert):
+    """``convert`` of the JSON in ``path``, parsed and converted with the collector paused."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as fh:
+            return convert(json.load(fh))  # the parsed object dies when convert returns
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_json(path, obj) -> None:
@@ -68,8 +82,7 @@ def write_matrix(path, kind: str, matrix) -> None:
 
 
 def read_matrix(path, expect_kind: str | None = None) -> tuple[str, np.ndarray]:
-    with open(path) as fh:
-        return matrix_from_json(json.load(fh), expect_kind)
+    return _read_json(path, lambda obj: matrix_from_json(obj, expect_kind))
 
 
 def program_to_json(p: GateProgram) -> list:
@@ -121,12 +134,14 @@ def write_program(path, p: GateProgram) -> None:
         fh.write(f'{{"n_qubits": {p.n_qubits:d}, "gates": [{cells}{layer}]}}\n')
 
 
-def read_program(path) -> GateProgram:
-    with open(path) as fh:
-        obj = json.load(fh)
+def _program_of(obj) -> GateProgram:
     if type(obj) is not dict:
         raise ValueError("a program file must be a JSON object")
     return program_from_json(obj.get("gates"), obj.get("n_qubits"))
+
+
+def read_program(path) -> GateProgram:
+    return _read_json(path, _program_of)
 
 
 def integrals_to_json(ints: ElectronicIntegrals) -> dict:
@@ -176,10 +191,7 @@ def write_integrals(path, ints: ElectronicIntegrals) -> None:
 
 
 def read_integrals(path) -> ElectronicIntegrals:
-    with open(path) as fh:
-        args = _integrals_args(json.load(fh))
-    # the parsed file, one dict per h2 entry, is freed before the integrals are checked
-    return ElectronicIntegrals(*args)
+    return ElectronicIntegrals(*_read_json(path, _integrals_args))
 
 
 def estimates_from_json(obj: dict) -> tuple[dict[int, np.ndarray], int, int]:

@@ -12,9 +12,9 @@ anticommute can be collapsed to one operator by a ladder of two-term
 rotations, cutting the number of independently measured quantities; the
 partitioner builds such completely anticommuting sets either greedily or
 from a closed-form template with binom(n, 2) (n - 2) quartic sets. It works
-on the arrays: each index set is a bitmask column, first fit labels the terms
-set by set, and a template's sets find their term rows through one dict from
-the polynomial's index tuples.
+on the arrays: each index set is a bitmask column, first fit rules a group out
+for a term by the union of its members' commute rows, and a template's sets
+find their term rows through one dict from the polynomial's index tuples.
 
 Each set could also be collapsed by one rotation about the normalized
 commutator of the partial sum with the target, but realizing that axis on
@@ -246,28 +246,37 @@ def _first_fit(masks: np.ndarray, degrees: np.ndarray,
                placed: np.ndarray = np.zeros(0, dtype=np.int64)) -> np.ndarray:
     """Label each term after the placed ones with the first group it wholly anticommutes with.
 
-    Term k is column k of the bitmask words ``masks`` with degree ``degrees[k]``;
-    the first len(placed) terms lie in the groups ``placed`` names, numbered from
-    0, and a term that fits no group opens the next one. Returns every term's
-    label. Index sets A and B anticommute iff |A| |B| + |A & B| is odd, so one
-    candidate is tested against all earlier terms at once.
+    Term k is column k of the bitmask words ``masks`` with degree ``degrees[k]``; the
+    first len(placed) terms lie in the groups ``placed`` names, numbered from 0, and a
+    term that fits no group opens the next one. Returns every term's label. Row k of
+    the bool table ``ruled`` (unplaced terms x groups, doubled when full) ORs the
+    commute rows of each group's members: k joins the first group its row leaves open
+    and ORs its own row into that column. Sets A, B commute iff |A| |B| + |A & B| is even.
     """
-    label = np.zeros(masks.shape[1], dtype=np.int64)
-    label[:len(placed)] = placed
-    groups = int(placed.max(initial=-1)) + 1
-    odd = (degrees & 1).astype(np.uint8)
-    for k in range(len(placed), masks.shape[1]):
+    n_terms, n_placed = masks.shape[1], len(placed)
+    odd = (degrees & 1).astype(bool)
+
+    def commute(start, first):  # terms start to start + 63 against those from first on
+        rows = slice(start, start + 64)
         # |A & B| is odd iff the XOR of the words' ANDs has odd popcount
-        shared = masks[0, :k] & masks[0, k]
+        shared = masks[0, rows, None] & masks[0, first:]
         for word in masks[1:]:
-            shared ^= word[:k] & word[k]
-        anti = np.bitwise_count(shared) & 1
-        if odd[k]:
-            anti ^= odd[:k]
-        ruled_out = np.zeros(groups + 1, dtype=bool)
-        ruled_out[label[:k][anti == 0]] = True
-        label[k] = g = int(np.argmin(ruled_out))
-        groups += g == groups
+            shared ^= word[rows, None] & word[first:]
+        return (np.bitwise_count(shared) & 1).astype(bool) == (odd[rows, None] & odd[first:])
+
+    label = np.pad(placed, (0, n_terms - n_placed))
+    groups = int(placed.max(initial=-1)) + 1
+    ruled = np.zeros((n_terms - n_placed, 2 * groups + 16), dtype=bool)
+    for start in range(0, n_placed, 64):
+        for g, row in zip(placed[start:start + 64].tolist(), commute(start, n_placed)):
+            ruled[:, g] |= row
+    for start in range(n_placed, n_terms, 64):
+        for k, row in enumerate(commute(start, start), start):
+            label[k] = g = int(ruled[k - n_placed, :groups + 1].argmin())
+            groups += g == groups
+            if groups == ruled.shape[1]:
+                ruled = np.pad(ruled, ((0, 0), (0, groups)))
+            ruled[k + 1 - n_placed:, g] |= row[k + 1 - start:]
     return label
 
 
@@ -340,8 +349,9 @@ def partition_from_template(poly: MajoranaPolynomial,
     rest = np.flatnonzero(np.bincount(found + 1, minlength=len(poly.coeffs) + 1)[1:] == 0)
     rows = np.concatenate([found[found >= 0], rest[np.lexsort(poly.indices[rest].T[::-1])]])
     # the template sets that keep a term, numbered in order
-    label = _first_fit(*_bitmasks(poly.indices[rows], poly.n_modes),
-                       np.cumsum(np.diff(placed, prepend=-1) != 0) - 1)
+    label = np.cumsum(np.diff(placed, prepend=-1) != 0) - 1
+    if len(rest):
+        label = _first_fit(*_bitmasks(poly.indices[rows], poly.n_modes), label)
     return _finalize_sets(poly, rows, label)
 
 

@@ -1,7 +1,7 @@
 """The numerical thresholds of the library, one fixed table.
 
-Every validation threshold in the Gaussian, partition, shadow and circuit
-modules is a field of ``DEFAULT``, read where it is used. No function takes a
+Every validation threshold in the Gaussian, partition, shadow, circuit and
+dense modules is a field of ``DEFAULT``, read where it is used. No function takes a
 threshold as an argument, so a value changes only here.
 """
 from __future__ import annotations
@@ -27,6 +27,7 @@ class Tolerances:
     norm_bounds: float = 1e-9        # slack of norms_report's bounds, in units of 1 + Lambda
     mitigation_guard: float = 1e-6   # smallest |s_hat / s| accepted as a divisor
     symmetry_check: float = 1e-10    # integral permutational-symmetry validation
+    dense_check: float = 1e-10       # dense state norm, Born total and one-body Hermiticity
 
 
 DEFAULT = Tolerances()

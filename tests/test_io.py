@@ -1,7 +1,9 @@
 """Serialization round trips for the file formats."""
 import csv
+import gc
 import io as io_module
 import json
+from contextlib import nullcontext
 from math import comb
 
 import numpy as np
@@ -148,6 +150,31 @@ def test_integrals_round_trip(tmp_path, rng):
     back = io.read_integrals(path)
     assert np.array_equal(back.h1, ints.h1)
     assert np.array_equal(back.h2, ints.h2)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("read, text, bad", [
+    (io.read_integrals, '{"n": 1, "h1": [[0.5]], "h2": [{"pqrs": [0, 0, 0, 0], "value": 1}]}', 0),
+    (io.read_integrals, '{"n": 1, "h1": [[0.5]], "h2": [{"pqrs": [0, 0, 0, 9], "value": 1}]}', 1),
+    (io.read_integrals, '{"n": 1, "h1": [[0.5]], "h2": [', 1),
+    (io.read_program, '{"n_qubits": 1, "gates": [{"kind": "pauli", "string": "X"}]}', 0),
+    (io.read_program, '{"n_qubits": 1, "gates": [{"kind": "zrot", "q": 0}]}', 1),
+    (io.read_program, '[]', 1),
+    (io.read_matrix, '{"kind": "orthogonal", "n_modes": 1, "data": [1, 0, 0, 1]}', 0),
+    (io.read_matrix, '{"kind": "orthogonal", "n_modes": 1, "data": [1, 0, 0]}', 1),
+])
+def test_readers_keep_the_callers_collector_state(tmp_path, enabled, read, text, bad):
+    # the readers pause the cyclic collector and hand back the caller's setting on every exit
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(ValueError) if bad else nullcontext():
+            read(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_estimates_round_trip(tmp_path):

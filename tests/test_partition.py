@@ -318,6 +318,44 @@ def test_template_leftovers_match_pairwise_first_fit(rng, pairwise):
     assert set_lists(part) == set_lists(pairwise(ff.partition_from_template, poly, template))
 
 
+def random_terms(n, count, rng, exclude=()):
+    """``count`` random index sets of degree 2, 4 or 6 below 2 n outside ``exclude``, weighted."""
+    sets = [idx for deg in (2, 4, 6) for idx in combinations(range(2 * n), deg)
+            if idx not in exclude]
+    return {sets[i]: float(rng.normal()) for i in rng.choice(len(sets), size=count, replace=False)}
+
+
+def test_greedy_many_blocks_and_groups_match_pairwise_first_fit(rng, pairwise):
+    # 200 candidates span four blocks of 64, and over 16 groups double the group table
+    poly = ff.MajoranaPolynomial(5, random_terms(5, 200, rng))
+    part = ff.greedy_partition(poly)
+    assert len(part.sets) > 32
+    assert set_lists(part) == set_lists(pairwise(ff.greedy_partition, poly))
+
+
+def test_template_many_leftovers_match_pairwise_first_fit(rng, pairwise):
+    n = 5
+    template = ff.analytic_partition(n)
+    inside = {idx for members in template for idx in members}
+    # two placed sets start the table at 2 * 2 + 16 groups; 200 leftovers outgrow it
+    terms = {idx: float(rng.normal()) for members in template[:2] for idx in members}
+    poly = ff.MajoranaPolynomial(n, {**terms, **random_terms(n, 200, rng, inside)})
+    part = ff.partition_from_template(poly, template)
+    assert part.covers and len(part.sets) > 20
+    assert set_lists(part) == set_lists(pairwise(ff.partition_from_template, poly, template))
+
+
+def test_fully_placed_template_keeps_its_sets(rng, monkeypatch):
+    n = 5
+    poly = ff.majorana_form(integrals(n, rng))
+    template = ff.analytic_partition(n)
+    # every term lies in the template, so no first fit runs
+    monkeypatch.setattr(partition, "_first_fit", None)
+    part = ff.partition_from_template(poly, template)
+    kept = [[idx for idx in members if idx in poly.terms] for members in template]
+    assert part.covers and set_lists(part) == [members for members in kept if members]
+
+
 def test_greedy_two_word_masks_match_pairwise_first_fit(rng, pairwise):
     n = 40
     # the two sets share only index 70, in the second mask word
