@@ -50,11 +50,14 @@ __all__ = [
     "sample_bits",
     "measurement_distribution",
 ]
+_BLOCK_BYTES = 1 << 21  # the two buffers of one ``_condition`` row block: about one L2 cache
 
 
 def _check_antisymmetric(m: np.ndarray, tol: float, what: str):
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
         raise ValueError(f"{what} must be a square even-dimensional matrix")
+    if not m.size:
+        raise ValueError(f"{what} must cover at least one mode")
     if not np.max(np.abs(m + m.T)) <= tol:
         raise ValueError(f"{what} is not antisymmetric within {tol}")
 
@@ -339,13 +342,16 @@ def _condition(matrix: np.ndarray, perms: np.ndarray, signs: np.ndarray,
     """Measure Q M Q^T mode by mode for each row; return its bits and joint probability.
 
     Row s rotates by the signed permutation Q[u, v] = signs[s, u] delta(perms[s, u], v);
-    ``matrix`` is the 2n x 2n M and ``perms``, ``signs`` are (size, 2n). Modes are
-    measured in ascending order, each conditioned on the outcomes before it by the
-    rank-two formula of Terhal and DiVincenzo (quant-ph/0108010). Bit j of row s is
+    ``matrix`` is the 2n x 2n M and ``perms``, ``signs`` (entries +-1) are (size, 2n).
+    Modes are measured in ascending order, each conditioned on the outcomes before it by
+    the rank-two formula of Terhal and DiVincenzo (quant-ph/0108010). Bit j of row s is
     ``draws[s, j] < p1``: a uniform draw samples it, -1 forces 1 and 2 forces 0.
-    The elimination is left-looking: step j gathers rows 2j and 2j+1 of Q M Q^T,
-    columns >= 2j, and adds the j earlier updates c_l (a_l[r] b_l - b_l[r] a_l) with
-    batched matmuls, so memory is two (size, n, 2n) buffers holding c_l a_l and b_l.
+    The elimination is left-looking: step j gathers rows 2j and 2j+1 of P M P^T, columns
+    >= 2j, and adds the j earlier updates c_l (a_l[r] b_l - b_l[r] a_l) with batched
+    matmuls. As Q M Q^T = S (P M P^T) S and sign flips are exact, sigma_j = s_2j s_2j+1
+    enters only p1 = (1 - sigma_j [P M P^T]_{2j,2j+1}) / 2 and c_j = sigma_j / (2 signed).
+    Rows run in blocks that reuse two (rows, n, 2n) buffers of c_l a_l and b_l, which
+    fill ``_BLOCK_BYTES``; no output depends on the block size.
 
     Rounding grows like 1 / prefix, the probability of the outcomes so far, so
     ``TOL.prob_clamp`` bounds how far prefix * p1 may leave [0, prefix] before
@@ -362,32 +368,36 @@ def _condition(matrix: np.ndarray, perms: np.ndarray, signs: np.ndarray,
         raise ValueError("perms entries must lie in [0, 2n)")
     size, dim = perms.shape
     n, slack = dim // 2, TOL.prob_clamp
-    flat, base, sf = matrix.ravel(), perms.astype(np.intp) * dim, signs.astype(float)
+    flat, base = matrix.ravel(), perms.astype(np.intp) * dim
+    sigma = (signs[:, 0::2] * signs[:, 1::2]).astype(float)  # (size, n): +-1
     bits = np.empty((size, n), dtype=np.uint8)
-    scaled_a = np.empty((size, n, dim))  # row l: c_l a_l, valid from column 2l
-    rows_b = np.empty((size, n, dim))    # row l: b_l, valid from column 2l
+    block = max(1, _BLOCK_BYTES // max(1, 16 * n * dim))
+    scaled_a = np.empty((min(block, size), n, dim))  # row l: c_l a_l, valid from column 2l
+    rows_b = np.empty_like(scaled_a)                 # row l: b_l, valid from column 2l
     joint = np.ones(size)
-    for j in range(n):
-        r, c = slice(2 * j, 2 * j + 2), slice(2 * j, dim)
-        rows = np.take(flat, base[:, r, None] + perms[:, None, c])
-        rows *= sf[:, r, None]
-        rows *= sf[:, None, c]
-        if j:
-            rows += np.swapaxes(scaled_a[:, :j, r], 1, 2) @ rows_b[:, :j, c]
-            rows -= np.swapaxes(rows_b[:, :j, r], 1, 2) @ scaled_a[:, :j, c]
-        p1 = 0.5 * (1.0 - rows[:, 0, 1])
-        if np.any(joint * p1 < -slack) or np.any(joint * (p1 - 1.0) > slack):
-            raise ValueError("conditional probability outside [0, 1] beyond slack")
-        np.clip(p1, 0.0, 1.0, out=p1)
-        bit = draws[:, j] < p1
-        bits[:, j] = bit
-        signed = np.where(bit, p1, p1 - 1.0)  # the outcome's probability, negated for bit 0
-        prob = np.abs(signed)
-        joint *= prob
-        if j < n - 1:
-            signed[prob == 0.0] = 1.0
-            np.multiply(rows[:, 0], (0.5 / signed)[:, None], out=scaled_a[:, j, c])
-            rows_b[:, j, c] = rows[:, 1]
+    for lo in range(0, size, block):
+        k = slice(lo, lo + block)
+        part = joint[k]
+        at, bt = scaled_a[:len(part)], rows_b[:len(part)]
+        for j in range(n):
+            r, c = slice(2 * j, 2 * j + 2), slice(2 * j, dim)
+            rows = np.take(flat, base[k, r, None] + perms[k, None, c])
+            if j:
+                rows += np.swapaxes(at[:, :j, r], 1, 2) @ bt[:, :j, c]
+                rows -= np.swapaxes(bt[:, :j, r], 1, 2) @ at[:, :j, c]
+            p1 = 0.5 * (1.0 - sigma[k, j] * rows[:, 0, 1])
+            if np.any(part * p1 < -slack) or np.any(part * (p1 - 1.0) > slack):
+                raise ValueError("conditional probability outside [0, 1] beyond slack")
+            np.clip(p1, 0.0, 1.0, out=p1)
+            bit = draws[k, j] < p1
+            bits[k, j] = bit
+            signed = np.where(bit, p1, p1 - 1.0)  # the outcome's probability, negated for bit 0
+            prob = np.abs(signed)
+            part *= prob
+            if j < n - 1:
+                signed[prob == 0.0] = 1.0
+                np.multiply(rows[:, 0], (0.5 * sigma[k, j] / signed)[:, None], out=at[:, j, c])
+                bt[:, j, c] = rows[:, 1]
     joint[joint <= slack] = 0.0
     return bits, joint
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm, null_space
 
 import freeferm as ff
-from freeferm import dense, oracle
+from freeferm import dense, gaussian, oracle
 from freeferm.gaussian import (
     _condition,
     measurement_distribution,
@@ -43,6 +43,12 @@ def test_vacuum_covariance_blocks():
 def test_vacuum_zero_modes_rejected():
     with pytest.raises(ValueError):
         ff.vacuum_covariance(0)
+
+
+@pytest.mark.parametrize("cls", [ff.CovarianceMatrix, ff.QuadraticHamiltonian])
+def test_zero_mode_matrix_rejected(cls):
+    with pytest.raises(ValueError, match="at least one mode"):
+        cls(np.zeros((0, 0)))
 
 
 def test_covariance_validation():
@@ -525,6 +531,50 @@ def test_condition_gathers_like_the_rotated_matrix(rng):
                 q = ff.SignedPermutation(n, tuple(perm), tuple(sign)).matrix()
                 rotated = ff.CovarianceMatrix(q @ cov.matrix @ q.T, validate=False)
                 assert np.array_equal(probs, measurement_distribution(rotated)), n
+
+
+def _three_row_blocks(monkeypatch, n):
+    monkeypatch.setattr(gaussian, "_BLOCK_BYTES", 3 * 16 * n * 2 * n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_condition_blocks_match_one_block(n, monkeypatch, rng):
+    # a 7-row signed batch and the 2^n forced outcomes, run three rows at a time
+    # (blocks of 3, 3 and 1 or 2 rows), equal the default run byte for byte
+    cov = random_mixed_covariance(n, rng)
+    perms = np.array([rng.permutation(2 * n) for _ in range(7)])
+    signs = rng.choice(np.array([-1, 1], np.int8), size=perms.shape)
+    draws = rng.random((7, n))
+    bits, forced = _outcomes(n)
+    unrotated = np.broadcast_to(np.arange(2 * n), (2 ** n, 2 * n))
+    forced_args = (unrotated, np.ones_like(unrotated), forced)
+    whole = [_condition(cov.matrix, perms, signs, draws), _condition(cov.matrix, *forced_args)]
+    _three_row_blocks(monkeypatch, n)
+    blocked = [_condition(cov.matrix, perms, signs, draws), _condition(cov.matrix, *forced_args)]
+    assert (blocked[1][0] == bits).all()
+    for (b0, j0), (b1, j1) in zip(whole, blocked):
+        assert b0.tobytes() == b1.tobytes() and j0.tobytes() == j1.tobytes()
+
+
+def test_condition_raises_in_a_later_block(monkeypatch, rng):
+    # the nonphysical pairing of test_sampling_raises_through_permutation, in the last
+    # of 7 rows: the third row block's only row, after two blocks that pass
+    m = ff.vacuum_covariance(3).matrix.copy()
+    m[2, 4], m[4, 2] = 3.0, -3.0
+    perms = np.tile(np.arange(6), (7, 1))
+    signs = np.ones((7, 6), np.int8)
+    _three_row_blocks(monkeypatch, 3)
+    assert (ff.sample_bits(m, perms, signs, rng) == 0).all()
+    perms[6] = [0, 1, 2, 4, 3, 5]
+    with pytest.raises(ValueError, match="outside"):
+        ff.sample_bits(m, perms, signs, rng)
+
+
+def test_condition_without_modes():
+    # no modes: no block budget to divide by, every row an empty string of probability 1
+    empty = np.zeros((3, 0), np.intp)
+    bits, joint = _condition(np.zeros((0, 0)), empty, empty, np.zeros((3, 0)))
+    assert bits.shape == (3, 0) and np.array_equal(joint, np.ones(3))
 
 
 def test_conditioning_slack_scales_with_prefix_probability():

@@ -21,8 +21,9 @@ third quartiles (``statistics.quantiles``, exclusive method):
   operations and failed checks (``<workload>.failed``, ``.failed_checks``);
 * the Tier-1 wall time (``tier1.wall_s``);
 * ``shadow-sim`` snapshots per second (``shadow_sim.<n>.snapshots_per_s``);
-* every ``compile_layers`` and ``partition_layers`` median
-  (``compile_layers.<n>.<layer>``, in ms).
+* every ``compile_layers``, ``partition_layers`` and ``tomography_layers``
+  median (``compile_layers.<n>.<layer>``, in ms), and the tracemalloc peaks of
+  ``tomography_layers`` (``tomography_layers.<n>.<layer>_peak_mib``).
 
 A gain is claimed only when ``change_wins`` is at least nine of ten and the
 medians differ by more than the parent's interquartile distance; this tool
@@ -53,10 +54,13 @@ def figures(record: dict, better: dict) -> dict:
     out["tier1.wall_s"] = (record["tier1"]["wall_s"], "lower")
     for n, entry in record["shadow_sim"].items():
         out[f"shadow_sim.{n}.snapshots_per_s"] = (entry["snapshots_per_s"], "higher")
-    for group in ("compile_layers", "partition_layers"):
+    for group in ("compile_layers", "partition_layers", "tomography_layers"):
         for n, layers in record[group]["median_ms"].items():
             for layer, ms in layers.items():
                 out[f"{group}.{n}.{layer}"] = (ms, "lower")
+    for n, peaks in record["tomography_layers"]["peak_mib"].items():
+        for layer, mib in peaks.items():
+            out[f"tomography_layers.{n}.{layer}_peak_mib"] = (mib, "lower")
     return out
 
 

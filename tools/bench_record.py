@@ -45,7 +45,16 @@ After the workloads it records two end-to-end figures of the checkout:
   the checkout's ``src`` times them on one integrals file per n, drawn by
   ``perfbench/inputs.py``'s ``random_integrals`` from ``stream(seed, 1, n)``
   and written by its ``integrals_json``, the way the hamiltonian workload's
-  inputs are made. It also calls only public names.
+  inputs are made. It also calls only public names;
+* ``tomography_layers``: the median milliseconds per 1000 snapshots of
+  ``sample_snapshots``, ``sample_bits`` and ``ShadowAccumulator.add_batch``
+  (k_max 1), over nine calls at n = 8, 16 and 24 on a random Slater state with
+  eta = n / 4, as ``shadow_sim`` runs, and (``peak_mib``) the tracemalloc peak
+  of one ``sample_bits`` call in MiB. One fresh process on the checkout's
+  ``src`` times them, through public names only.
+
+Each layer timer prints one JSON object, which is recorded as it is beside
+``runs``.
 """
 from __future__ import annotations
 
@@ -73,7 +82,7 @@ print(time.perf_counter() - start)
 
 COMPILE_LAYER_MODES = (8, 16, 32, 64)
 COMPILE_LAYER_RUNS = 9
-# prints {n: {layer: median ms}} as JSON; argv: seed, runs, modes...
+# prints {"median_ms": {n: {layer: median ms}}} as JSON; argv: seed, runs, modes...
 COMPILE_LAYER_TIMER = """import json, os, statistics, sys, tempfile, time
 sys.path.insert(0, "perfbench")
 import inputs
@@ -101,13 +110,13 @@ with tempfile.TemporaryDirectory() as out:
             layers["read_program_" + name] = median_ms(lambda: read_program(path))
             layers["program_to_orthogonal_" + name] = median_ms(
                 lambda: program_to_orthogonal(program))
-print(json.dumps(result))
+print(json.dumps({"median_ms": result}))
 """
 
 
 PARTITION_LAYER_MODES = (4, 6, 8, 10, 12)
 PARTITION_LAYER_RUNS = 9
-# prints {n: {layer: median ms}} as JSON; argv: seed, runs, modes...
+# prints {"median_ms": {n: {layer: median ms}}} as JSON; argv: seed, runs, modes...
 PARTITION_LAYER_TIMER = """import json, os, statistics, sys, tempfile, time
 sys.path.insert(0, "perfbench")
 import inputs
@@ -142,7 +151,46 @@ with tempfile.TemporaryDirectory() as out:
                 lambda: partition_from_template(poly, analytic_partition(n))),
             "norms_report": median_ms(lambda: norms_report(poly, part)),
         }
-print(json.dumps(result))
+print(json.dumps({"median_ms": result}))
+"""
+
+
+TOMOGRAPHY_LAYER_MODES = (8, 16, 24)
+TOMOGRAPHY_LAYER_RUNS = 9
+# prints {"snapshots": 1000, "median_ms": {n: {layer: median ms}},
+# "peak_mib": {n: {"sample_bits": MiB}}} as JSON; argv: seed, runs, modes...
+TOMOGRAPHY_LAYER_TIMER = """import json, statistics, sys, time, tracemalloc
+import numpy as np
+from freeferm import (ShadowAccumulator, SlaterDeterminant, sample_bits, sample_snapshots,
+                      slater_covariance)
+seed, runs, modes = int(sys.argv[1]), int(sys.argv[2]), [int(n) for n in sys.argv[3:]]
+size = 1000
+
+def median_ms(call):
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        call()
+        times.append(1e3 * (time.perf_counter() - start))
+    return statistics.median(times)
+
+result, peak = {}, {}
+for n in modes:
+    rng = np.random.default_rng([seed, n])
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    cov = slater_covariance(SlaterDeterminant(np.linalg.qr(x)[0][:, :n // 4]))
+    perms, signs, bits = sample_snapshots(cov, size, rng)
+    acc = ShadowAccumulator(n, 1)
+    result[str(n)] = {
+        "sample_snapshots": median_ms(lambda: sample_snapshots(cov, size, rng)),
+        "sample_bits": median_ms(lambda: sample_bits(cov.matrix, perms, signs, rng)),
+        "add_batch": median_ms(lambda: acc.add_batch(perms, signs, bits)),
+    }
+    tracemalloc.start()
+    sample_bits(cov.matrix, perms, signs, rng)
+    peak[str(n)] = {"sample_bits": tracemalloc.get_traced_memory()[1] / 2 ** 20}
+    tracemalloc.stop()
+print(json.dumps({"snapshots": size, "median_ms": result, "peak_mib": peak}))
 """
 
 
@@ -215,13 +263,13 @@ def shadow_sim_rate(root: str, n: int) -> dict:
 
 
 def layer_timings(root: str, seed: int, timer: str, runs: int, modes: tuple) -> dict:
-    """Run a layer timer in a fresh process on ``root``'s ``src``; {runs, median_ms}."""
+    """Run a layer timer in a fresh process on ``root``'s ``src``; {runs, ...its JSON}."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     cmd = [sys.executable, "-c", timer, str(seed), str(runs), *map(str, modes)]
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"layer timing exited {proc.returncode}: {proc.stderr.strip()}")
-    return {"runs": runs, "median_ms": json.loads(proc.stdout)}
+    return {"runs": runs, **json.loads(proc.stdout)}
 
 
 def measure(root: str, label: str, seed: int) -> dict:
@@ -242,7 +290,9 @@ def measure(root: str, label: str, seed: int) -> dict:
         f"n = {n} {entry['snapshots_per_s']:.0f}" for n, entry in record["shadow_sim"].items()))
     for name, timer, runs, modes in (
             ("compile", COMPILE_LAYER_TIMER, COMPILE_LAYER_RUNS, COMPILE_LAYER_MODES),
-            ("partition", PARTITION_LAYER_TIMER, PARTITION_LAYER_RUNS, PARTITION_LAYER_MODES)):
+            ("partition", PARTITION_LAYER_TIMER, PARTITION_LAYER_RUNS, PARTITION_LAYER_MODES),
+            ("tomography", TOMOGRAPHY_LAYER_TIMER, TOMOGRAPHY_LAYER_RUNS,
+             TOMOGRAPHY_LAYER_MODES)):
         record[f"{name}_layers"] = layer_timings(root, seed, timer, runs, modes)
         largest = record[f"{name}_layers"]["median_ms"][str(modes[-1])]
         print(f"{name} layers at n = {modes[-1]}, median ms: " + ", ".join(
