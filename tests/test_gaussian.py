@@ -533,10 +533,6 @@ def test_condition_gathers_like_the_rotated_matrix(rng):
                 assert np.array_equal(probs, measurement_distribution(rotated)), n
 
 
-def _three_row_blocks(monkeypatch, n):
-    monkeypatch.setattr(gaussian, "_BLOCK_BYTES", 3 * 16 * n * 2 * n)
-
-
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_condition_blocks_match_one_block(n, monkeypatch, rng):
     # a 7-row signed batch and the 2^n forced outcomes, run three rows at a time
@@ -549,7 +545,7 @@ def test_condition_blocks_match_one_block(n, monkeypatch, rng):
     unrotated = np.broadcast_to(np.arange(2 * n), (2 ** n, 2 * n))
     forced_args = (unrotated, np.ones_like(unrotated), forced)
     whole = [_condition(cov.matrix, perms, signs, draws), _condition(cov.matrix, *forced_args)]
-    _three_row_blocks(monkeypatch, n)
+    monkeypatch.setattr(gaussian, "_BLOCK_BYTES", 3 * 16 * n * 2 * n)  # two (3, n, 2n) buffers
     blocked = [_condition(cov.matrix, perms, signs, draws), _condition(cov.matrix, *forced_args)]
     assert (blocked[1][0] == bits).all()
     for (b0, j0), (b1, j1) in zip(whole, blocked):
@@ -563,7 +559,7 @@ def test_condition_raises_in_a_later_block(monkeypatch, rng):
     m[2, 4], m[4, 2] = 3.0, -3.0
     perms = np.tile(np.arange(6), (7, 1))
     signs = np.ones((7, 6), np.int8)
-    _three_row_blocks(monkeypatch, 3)
+    monkeypatch.setattr(gaussian, "_BLOCK_BYTES", 3 * 16 * 3 * 6)
     assert (ff.sample_bits(m, perms, signs, rng) == 0).all()
     perms[6] = [0, 1, 2, 4, 3, 5]
     with pytest.raises(ValueError, match="outside"):
