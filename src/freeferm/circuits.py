@@ -11,11 +11,11 @@ XX rotation, one layer of Pauli gates}. Two schemes are provided:
   last 2x2 corner block.
 
 Both leave a sign diagonal and end in ``_finish``, which commutes it past the
-later rotations and hands ``_assemble`` one stream of adjacent-axis Givens
-rotations in time order and the diagonal. A rotation merges into the last
-rotation on its qubits when that one has the same axis. A ``GateProgram``
-holds the axes and the angles as arrays, and the diagonal as the letters of
-the Pauli layer, which acts last.
+later rotations and hands ``_assemble`` the adjacent-axis Givens rotations in
+time order, as two flat lists of axes and angles, and the diagonal. A rotation
+merges into the last rotation on its qubits when that one has the same axis.
+A ``GateProgram`` holds the axes and the angles as arrays, and the diagonal as
+the letters of the Pauli layer, which acts last.
 
 Conventions (Heisenberg action U^dag g_u U = sum_v O_uv g_v), by JSON kind:
 * axis 2p,   "zrot"  exp(-i t Z_p / 2):        Givens(t) on axes (2p, 2p+1)
@@ -26,18 +26,18 @@ Conventions (Heisenberg action U^dag g_u U = sum_v O_uv g_v), by JSON kind:
 ``program_to_orthogonal`` composes these actions to recover Q without any
 dense simulation, which is the compiler's verifier.
 
-Both hot loops run one layer of disjoint rotations at a time. The naive
-elimination zeroes entry (i, j) of Q^T at wavefront step t = dim-1-i+2j, so
-about 2*dim steps replace dim^2/2 single rotations. The recomposition
-applies each depth layer that ``GateProgram.stats()`` counts as one gathered
-two-row update, then the Pauli layer. Every row sees the same floating-point
-operations in the same order as in the sequential loops, so programs and
-recomposed matrices are bit-identical to theirs.
+The naive elimination zeroes entry (i, j) of Q^T at wavefront step
+t = dim-1-i+2j, one layer of disjoint rotations per step, so about 2*dim steps
+replace dim^2/2 single rotations. The blocked one updates each row pair in
+place with three ufuncs, and runs its right sweeps on a contiguous copy of Q^T.
+The recomposition applies each depth layer that ``GateProgram.stats()`` counts
+as one gathered two-row update, then the Pauli layer. Every row sees the same
+floating-point operations in the same order as in the sequential loops, so
+programs and recomposed matrices are bit-identical to theirs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import atan2, cos, sin
 
 import numpy as np
@@ -151,35 +151,34 @@ def _layer_action(letters: str) -> np.ndarray:
     return np.array(signs)
 
 
-def _assemble(n_qubits: int, rotations, signs) -> GateProgram:
-    """The program of the Givens rotations ``rotations`` followed by diag(``signs``).
+def _assemble(n_qubits: int, axes, thetas, signs) -> GateProgram:
+    """The program of the Givens rotations (``axes``, ``thetas``) followed by diag(``signs``).
 
-    ``rotations`` yields (axis, theta) in time order, each the rotation
-    [[cos t, -sin t], [sin t, cos t]] on axes (axis, axis + 1), which acts on
-    qubits axis // 2 and (axis + 1) // 2. A rotation merges into the last one
-    on those qubits when that has the same axis. Angles are wrapped into
-    [-pi, pi) and those below ``TOL.rotation_cut`` dropped.
+    Rotation k, in time order, is [[cos t, -sin t], [sin t, cos t]] on axes
+    (axes[k], axes[k] + 1), which acts on qubits axes[k] // 2 and (axes[k] + 1) // 2.
+    It merges into the last rotation on those qubits when that has the same axis.
+    Angles are wrapped into [-pi, pi) and those below ``TOL.rotation_cut`` dropped.
     """
-    axes, thetas, last_on_qubit = [], [], [-1] * n_qubits
-    for axis, theta in rotations:
+    kept, angles, last_on_qubit = [], [], [-1] * n_qubits
+    for axis, theta in zip(axes, thetas):
         lo, hi = axis // 2, (axis + 1) // 2
         prev = max(last_on_qubit[lo], last_on_qubit[hi])
-        if prev >= 0 and axes[prev] == axis:
-            thetas[prev] += theta
+        if prev >= 0 and kept[prev] == axis:
+            angles[prev] += theta
         else:
-            last_on_qubit[lo] = last_on_qubit[hi] = len(axes)
-            axes.append(axis)
-            thetas.append(theta)
+            last_on_qubit[lo] = last_on_qubit[hi] = len(kept)
+            kept.append(axis)
+            angles.append(theta)
 
-    axes = np.array(axes, dtype=np.int64)
-    thetas = (np.array(thetas, dtype=float) + np.pi) % (2 * np.pi) - np.pi
-    keep = np.abs(thetas) >= TOL.rotation_cut
+    kept = np.array(kept, dtype=np.int64)
+    angles = (np.array(angles, dtype=float) + np.pi) % (2 * np.pi) - np.pi
+    keep = np.abs(angles) >= TOL.rotation_cut
     letters = _layer_letters([1.0 if s > 0 else -1.0 for s in signs])
-    return GateProgram(n_qubits, axes[keep], thetas[keep], letters)
+    return GateProgram(n_qubits, kept[keep], angles[keep], letters)
 
 
-def _finish(m: np.ndarray, rotations, left: list) -> GateProgram:
-    """The program of ``rotations``, diag(d) with d = sign(diag m), then ``left`` reversed.
+def _finish(m: np.ndarray, axes: list, thetas: list, left=((), ())) -> GateProgram:
+    """Rotations (axes, thetas), diag(d) with d = sign(diag m), then the pair ``left`` reversed.
 
     The elimination has left m diagonal. d acts last, as the Pauli layer; pushing
     it past a rotation on axes (a, a + 1) multiplies the angle by d[a] * d[a + 1].
@@ -188,8 +187,10 @@ def _finish(m: np.ndarray, rotations, left: list) -> GateProgram:
     if not np.max(np.abs(m - np.diag(np.diag(m)))) <= TOL.elimination_residual:
         raise ValueError("elimination failed to diagonalize the input")
     d = np.sign(np.diag(m))
-    pushed = ((a, (d[a] * d[a + 1]) * theta) for a, theta in reversed(left))
-    return _assemble(len(m) // 2, chain(rotations, pushed), d)
+    signs = d.tolist()
+    axes += reversed(left[0])
+    thetas += ((signs[a] * signs[a + 1]) * t for a, t in zip(reversed(left[0]), reversed(left[1])))
+    return _assemble(len(m) // 2, axes, thetas, d)
 
 
 def _check_orthogonal(q: np.ndarray):
@@ -197,6 +198,8 @@ def _check_orthogonal(q: np.ndarray):
     dim = q.shape[0]
     if q.ndim != 2 or q.shape != (dim, dim) or dim % 2:
         raise ValueError("input must be a square even-dimensional matrix")
+    if not dim:
+        raise ValueError("input must cover at least one mode")
     # a NaN or infinite entry leaves a non-finite residual, which fails the test
     # too; numpy's warning on the way would print a second line under the CLI
     with np.errstate(invalid="ignore", over="ignore"):
@@ -240,30 +243,32 @@ def compile_naive(q: np.ndarray) -> GateProgram:
     # sequential order: column j ascending, row i descending
     cols, flipped = np.nonzero(done.T[:, ::-1])
     rows = dim - 1 - flipped
-    # one pair at a time: whole .tolist() lists raised the perfbench compile
-    # round's peak RSS by 0.2 MB
-    stream = ((i - 1, -theta) for i, theta in zip(map(int, rows), map(float, angles[rows, cols])))
-    return _finish(y, stream, [])
+    return _finish(y, (rows - 1).tolist(), (-angles[rows, cols]).tolist())
 
 
-def _eliminate(m: np.ndarray, steps, lower: bool, rotations: list):
+def _eliminate(m: np.ndarray, steps, lower: bool, axes: list, thetas: list):
     """Per (a, col) of ``steps``: zero m[a+1, col] (``lower``) or m[a, col], rotating rows a, a+1.
 
-    An entry already zero is skipped. Each rotation appends (a, theta): the
-    row rotation when ``lower``, else the column rotation on axes (a, a + 1)
-    of the matrix whose transposed view m is.
+    An entry already zero is skipped. Each rotation appends a to ``axes`` and its angle
+    to ``thetas``: the row rotation's when ``lower``, else the column rotation's on axes
+    (a, a + 1) of m.T. Rows x, y become c x + s y, c y - s x, unfused, by three in-place
+    ufuncs: c * pair and (s, -s) * pair[::-1] into two (2, dim) buffers, then their sum.
     """
+    (scaled, swapped), sines = np.empty((2, 2, m.shape[1])), np.empty((2, 1))
     for a, col in steps:
         top, bottom = m[a, col], m[a + 1, col]
         if (bottom if lower else top) == 0.0:
             continue
         theta = atan2(bottom, top) if lower else atan2(-top, bottom)
         c, s = cos(theta), sin(theta)
-        upper = c * m[a] + s * m[a + 1]
-        m[a + 1] = -s * m[a] + c * m[a + 1]
-        m[a] = upper
-        m[a + 1 if lower else a, col] = 0.0
-        rotations.append((a, theta if lower else -theta))
+        pair = m[a:a + 2]
+        sines[:, 0] = s, -s
+        np.multiply(pair, c, out=scaled)
+        np.multiply(pair[::-1], sines, out=swapped)
+        np.add(scaled, swapped, out=pair)
+        pair[1 if lower else 0, col] = 0.0
+        axes.append(a)
+        thetas.append(theta if lower else -theta)
 
 
 def compile_blocked(q: np.ndarray) -> GateProgram:
@@ -276,29 +281,32 @@ def compile_blocked(q: np.ndarray) -> GateProgram:
     the program as it ends ``compile_naive``'s. A right elimination of the
     block at rows (r, r+1), columns (b, b+1) rotates columns b..b+3, as rows
     of m.T, and leaves the 2x4 band [[0, 0, *, *], [0, 0, 0, *]]; a left one
-    rotates rows a..a+3 and leaves its 4x2 band upper triangular.
+    rotates rows a..a+3 and leaves its 4x2 band upper triangular. Each right
+    sweep runs on a contiguous copy of m.T, copied back into m after it.
     """
     q = _check_orthogonal(q)
-    dim = q.shape[0]
-    n = dim // 2
-    m = q.copy()
-    right: list = []
-    left: list = []
+    n = len(q) // 2
+    m, mt = q.copy(), np.empty_like(q)
+    right, left = ([], []), ([], [])
 
     for d in range(1, n):
-        for j in range(d):
-            if d % 2:
+        if d % 2:
+            np.copyto(mt, m.T)
+            for j in range(d):
                 b, r = 2 * (d - 1 - j), 2 * (n - 1 - j)  # block (n-1-j, d-1-j)
                 steps = ((b, r + 1), (b + 1, r + 1), (b + 2, r + 1), (b, r), (b + 1, r))
-                _eliminate(m.T, steps, False, right)
-            else:
+                _eliminate(mt, steps, False, *right)
+            np.copyto(m, mt.T)
+        else:
+            for j in range(d):
                 a, c = 2 * (n - d + j) - 2, 2 * j  # block (n-d+j, j)
                 steps = ((a + 2, c), (a + 1, c), (a, c), (a + 2, c + 1), (a + 1, c + 1))
-                _eliminate(m, steps, True, left)
+                _eliminate(m, steps, True, *left)
 
-    corner = 0 if n % 2 == 0 else dim - 2
-    _eliminate(m, ((corner, corner),), True, left)
-    return _finish(m, right, left)
+    del mt  # _finish's lists set the call's memory peak; this buffer need not add to it
+    corner = 0 if n % 2 == 0 else 2 * n - 2
+    _eliminate(m, ((corner, corner),), True, *left)
+    return _finish(m, *right, left)
 
 
 def program_to_orthogonal(p: GateProgram) -> np.ndarray:

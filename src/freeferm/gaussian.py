@@ -322,6 +322,8 @@ def embed_unitary(u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
+    if not n:
+        raise ValueError("unitary must cover at least one mode")
     if u.shape != (n, n) or not np.max(np.abs(u.conj().T @ u - np.eye(n))) <= TOL.orthogonality:
         raise ValueError("input is not unitary")
     q = np.zeros((2 * n, 2 * n))

@@ -123,7 +123,48 @@ def reference_compile_naive(q):
             y[i, :] = lower
             y[i, j] = 0.0
             rotations.append((i - 1, -theta))
-    return _assemble(dim // 2, rotations, np.sign(np.diag(y)))
+    return _assemble(dim // 2, [a for a, _ in rotations], [t for _, t in rotations],
+                     np.sign(np.diag(y)))
+
+
+def reference_compile_blocked(q):
+    """The two-sided block elimination rotation by rotation, on strided rows of m.T for
+    the right sweeps and with fresh temporaries per rotation: what ``compile_blocked``
+    must match bit for bit."""
+    m = _check_orthogonal(q).copy()
+    dim = m.shape[0]
+    n = dim // 2
+    right, left = [], []
+
+    def eliminate(view, steps, lower, rotations):
+        for a, col in steps:
+            top, bottom = view[a, col], view[a + 1, col]
+            if (bottom if lower else top) == 0.0:
+                continue
+            theta = atan2(bottom, top) if lower else atan2(-top, bottom)
+            c, s = cos(theta), sin(theta)
+            upper = c * view[a] + s * view[a + 1]
+            view[a + 1] = -s * view[a] + c * view[a + 1]
+            view[a] = upper
+            view[a + 1 if lower else a, col] = 0.0
+            rotations.append((a, theta if lower else -theta))
+
+    for d in range(1, n):
+        for j in range(d):
+            if d % 2:
+                b, r = 2 * (d - 1 - j), 2 * (n - 1 - j)
+                steps = ((b, r + 1), (b + 1, r + 1), (b + 2, r + 1), (b, r), (b + 1, r))
+                eliminate(m.T, steps, False, right)
+            else:
+                a, c = 2 * (n - d + j) - 2, 2 * j
+                steps = ((a + 2, c), (a + 1, c), (a, c), (a + 2, c + 1), (a + 1, c + 1))
+                eliminate(m, steps, True, left)
+    corner = 0 if n % 2 == 0 else dim - 2
+    eliminate(m, ((corner, corner),), True, left)
+    assert np.max(np.abs(m - np.diag(np.diag(m)))) <= ff.DEFAULT.elimination_residual
+    d = np.sign(np.diag(m))
+    rotations = right + [(a, (d[a] * d[a + 1]) * t) for a, t in reversed(left)]
+    return _assemble(n, [a for a, _ in rotations], [t for _, t in rotations], d)
 
 
 def reference_layer_letters(signs):

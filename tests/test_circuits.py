@@ -20,6 +20,7 @@ from freeferm.dense import dense_unitary
 from conftest import (
     random_orthogonal,
     reference_assemble,
+    reference_compile_blocked,
     reference_compile_naive,
     reference_layer_action,
     reference_program_to_orthogonal,
@@ -156,6 +157,12 @@ def test_sign_diagonals_compile_to_the_pauli_layer_alone():
         assert prog.stats().rotation_count == 0, np.diag(q)
 
 
+@pytest.mark.parametrize("compiler", COMPILERS)
+def test_zero_mode_input_rejected(compiler):
+    with pytest.raises(ValueError, match="at least one mode"):
+        compiler(np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("n", list(range(1, 9)))
 def test_round_trip_both_schemes(n, rng):
     for _ in range(100):
@@ -248,6 +255,30 @@ def test_naive_wavefront_matches_sequential_loop(n, rng):
     for _ in range(3 if n <= 8 else 1):
         q = random_orthogonal(2 * n, rng)
         assert compile_naive(q) == reference_compile_naive(q)
+
+
+def adjacent_givens_product(n, count, rng):
+    """A product of ``count`` Givens rotations on random adjacent axes of O(2n)."""
+    q = np.eye(2 * n)
+    for _ in range(count):
+        a, theta = int(rng.integers(2 * n - 1)), rng.normal()
+        g = np.eye(2 * n)
+        g[a:a + 2, a:a + 2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        q = q @ g
+    return q
+
+
+def test_blocked_matches_sequential_loop(rng):
+    # float.hex compares the angles' bits; sparse inputs skip zero entries and merge rotations
+    inputs = [random_orthogonal(2 * n, rng) for n in range(1, 9) for _ in range(2)]
+    inputs += [np.eye(2 * n) for n in range(1, 6)]
+    inputs += [np.diag(rng.choice([-1.0, 1.0], size=2 * n)) for n in range(1, 6) for _ in range(3)]
+    inputs += [adjacent_givens_product(n, count, rng) for n in range(2, 7) for count in (1, 2, 3)]
+    for q in inputs:
+        got, want = compile_blocked(q), reference_compile_blocked(q)
+        assert got.axes.tolist() == want.axes.tolist(), q
+        assert list(map(float.hex, got.thetas.tolist())) == list(map(float.hex, want.thetas.tolist()))
+        assert got.letters == want.letters, q
 
 
 def structured_orthogonals(rng, n=4):
@@ -343,7 +374,7 @@ def test_assemble_matches_tagged_interpreter():
     rng = np.random.default_rng(1405)
     for _ in range(3000):
         n, prims, rotations, signs = random_stream(rng)
-        got = _assemble(n, rotations, signs)
+        got = _assemble(n, [a for a, _ in rotations], [t for _, t in rotations], signs)
         want = reference_assemble(n, prims)
         assert got.axes.tolist() == want.axes.tolist(), prims
         assert list(map(float.hex, got.thetas.tolist())) == list(map(float.hex, want.thetas.tolist()))

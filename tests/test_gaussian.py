@@ -51,6 +51,11 @@ def test_zero_mode_matrix_rejected(cls):
         cls(np.zeros((0, 0)))
 
 
+def test_embed_unitary_zero_modes_rejected():
+    with pytest.raises(ValueError, match="at least one mode"):
+        ff.embed_unitary(np.zeros((0, 0)))
+
+
 def test_covariance_validation():
     with pytest.raises(ValueError):
         ff.CovarianceMatrix(np.eye(4))

@@ -23,7 +23,9 @@ third quartiles (``statistics.quantiles``, exclusive method):
 * ``shadow-sim`` snapshots per second (``shadow_sim.<n>.snapshots_per_s``);
 * every ``compile_layers``, ``partition_layers`` and ``tomography_layers``
   median (``compile_layers.<n>.<layer>``, in ms), and the tracemalloc peaks of
-  ``tomography_layers`` (``tomography_layers.<n>.<layer>_peak_mib``).
+  ``compile_layers`` and ``tomography_layers``
+  (``compile_layers.<n>.compile_naive_peak_mib``,
+  ``tomography_layers.<n>.sample_bits_peak_mib``).
 
 A gain is claimed only when ``change_wins`` is at least nine of ten and the
 medians differ by more than the parent's interquartile distance; this tool
@@ -58,9 +60,10 @@ def figures(record: dict, better: dict) -> dict:
         for n, layers in record[group]["median_ms"].items():
             for layer, ms in layers.items():
                 out[f"{group}.{n}.{layer}"] = (ms, "lower")
-    for n, peaks in record["tomography_layers"]["peak_mib"].items():
-        for layer, mib in peaks.items():
-            out[f"tomography_layers.{n}.{layer}_peak_mib"] = (mib, "lower")
+    for group in ("compile_layers", "tomography_layers"):
+        for n, peaks in record[group]["peak_mib"].items():
+            for layer, mib in peaks.items():
+                out[f"{group}.{n}.{layer}_peak_mib"] = (mib, "lower")
     return out
 
 

@@ -34,10 +34,12 @@ After the workloads it records two end-to-end figures of the checkout:
 * ``compile_layers``: the median milliseconds of ``compile_naive``,
   ``compile_blocked``, and of ``write_program``, ``read_program`` and
   ``program_to_orthogonal`` on each scheme's program, over nine calls at
-  n = 8, 16, 32 and 64. One fresh process on the checkout's ``src`` times
-  them all, on one Haar-random Q per n drawn as ``perfbench/inputs.py`` draws
-  the compile workload's inputs for ``--seed``. It calls only public names,
-  so any checkout with the same API can be measured;
+  n = 8, 16, 32 and 64, and (``peak_mib``) the tracemalloc peak of one
+  ``compile_naive`` and one ``compile_blocked`` call in MiB. One fresh process
+  on the checkout's ``src`` times them all, on one Haar-random Q per n drawn as
+  ``perfbench/inputs.py`` draws the compile workload's inputs for ``--seed``.
+  It calls only public names, so any checkout with the same API can be
+  measured;
 * ``partition_layers``: the median milliseconds of ``io.read_integrals``,
   ``majorana_form``, ``greedy_partition``, ``analytic_partition`` followed by
   ``partition_from_template``, and ``norms_report`` (on the analytic
@@ -82,8 +84,9 @@ print(time.perf_counter() - start)
 
 COMPILE_LAYER_MODES = (8, 16, 32, 64)
 COMPILE_LAYER_RUNS = 9
-# prints {"median_ms": {n: {layer: median ms}}} as JSON; argv: seed, runs, modes...
-COMPILE_LAYER_TIMER = """import json, os, statistics, sys, tempfile, time
+# prints {"median_ms": {n: {layer: median ms}}, "peak_mib": {n: {compiler: MiB}}} as JSON;
+# argv: seed, runs, modes...
+COMPILE_LAYER_TIMER = """import json, os, statistics, sys, tempfile, time, tracemalloc
 sys.path.insert(0, "perfbench")
 import inputs
 from freeferm import compile_blocked, compile_naive, program_to_orthogonal
@@ -98,19 +101,23 @@ def median_ms(call):
         times.append(1e3 * (time.perf_counter() - start))
     return statistics.median(times)
 
-result = {}
+result, peak = {}, {}
 with tempfile.TemporaryDirectory() as out:
     for n in modes:
         q = inputs.haar_orthogonal(2 * n, inputs.stream(seed, 2, n))
-        layers = result[str(n)] = {}
+        layers, peaks = result[str(n)], peak[str(n)] = {}, {}
         for name, compiler in (("naive", compile_naive), ("blocked", compile_blocked)):
             layers["compile_" + name] = median_ms(lambda: compiler(q))
+            tracemalloc.start()
+            compiler(q)
+            peaks["compile_" + name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+            tracemalloc.stop()
             program, path = compiler(q), os.path.join(out, name + ".json")
             layers["write_program_" + name] = median_ms(lambda: write_program(path, program))
             layers["read_program_" + name] = median_ms(lambda: read_program(path))
             layers["program_to_orthogonal_" + name] = median_ms(
                 lambda: program_to_orthogonal(program))
-print(json.dumps({"median_ms": result}))
+print(json.dumps({"median_ms": result, "peak_mib": peak}))
 """
 
 
