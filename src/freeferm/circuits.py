@@ -186,10 +186,9 @@ def _finish(m: np.ndarray, axes: list, thetas: list, left=((), ())) -> GateProgr
     # bugs leave O(1) residue; honest roundoff stays far below this
     if not np.max(np.abs(m - np.diag(np.diag(m)))) <= TOL.elimination_residual:
         raise ValueError("elimination failed to diagonalize the input")
-    d = np.sign(np.diag(m))
-    signs = d.tolist()
+    d = np.sign(np.diag(m)).tolist()
     axes += reversed(left[0])
-    thetas += ((signs[a] * signs[a + 1]) * t for a, t in zip(reversed(left[0]), reversed(left[1])))
+    thetas += ((d[a] * d[a + 1]) * t for a, t in zip(reversed(left[0]), reversed(left[1])))
     return _assemble(len(m) // 2, axes, thetas, d)
 
 
@@ -246,23 +245,23 @@ def compile_naive(q: np.ndarray) -> GateProgram:
     return _finish(y, (rows - 1).tolist(), (-angles[rows, cols]).tolist())
 
 
-def _eliminate(m: np.ndarray, steps, lower: bool, axes: list, thetas: list):
+def _eliminate(m: np.ndarray, steps, lower: bool, axes: list, thetas: list, work):
     """Per (a, col) of ``steps``: zero m[a+1, col] (``lower``) or m[a, col], rotating rows a, a+1.
 
     An entry already zero is skipped. Each rotation appends a to ``axes`` and its angle
     to ``thetas``: the row rotation's when ``lower``, else the column rotation's on axes
     (a, a + 1) of m.T. Rows x, y become c x + s y, c y - s x, unfused, by three in-place
-    ufuncs: c * pair and (s, -s) * pair[::-1] into two (2, dim) buffers, then their sum.
+    ufuncs: c * pair and (s, -s) * pair[::-1] into ``work``'s (2, dim) buffers, then the sum.
     """
-    (scaled, swapped), sines = np.empty((2, 2, m.shape[1])), np.empty((2, 1))
+    (scaled, swapped), sines = work
     for a, col in steps:
-        top, bottom = m[a, col], m[a + 1, col]
+        top, bottom = m.item(a, col), m.item(a + 1, col)
         if (bottom if lower else top) == 0.0:
             continue
         theta = atan2(bottom, top) if lower else atan2(-top, bottom)
         c, s = cos(theta), sin(theta)
         pair = m[a:a + 2]
-        sines[:, 0] = s, -s
+        sines[0, 0], sines[1, 0] = s, -s
         np.multiply(pair, c, out=scaled)
         np.multiply(pair[::-1], sines, out=swapped)
         np.add(scaled, swapped, out=pair)
@@ -281,31 +280,32 @@ def compile_blocked(q: np.ndarray) -> GateProgram:
     the program as it ends ``compile_naive``'s. A right elimination of the
     block at rows (r, r+1), columns (b, b+1) rotates columns b..b+3, as rows
     of m.T, and leaves the 2x4 band [[0, 0, *, *], [0, 0, 0, *]]; a left one
-    rotates rows a..a+3 and leaves its 4x2 band upper triangular. Each right
-    sweep runs on a contiguous copy of m.T, copied back into m after it.
+    rotates rows a..a+3 and leaves its 4x2 band upper triangular. Right sweep d
+    rotates only columns 0..2d+1, and runs on a contiguous copy of them in mt.
     """
     q = _check_orthogonal(q)
     n = len(q) // 2
     m, mt = q.copy(), np.empty_like(q)
+    work = np.empty((2, 2, 2 * n)), np.empty((2, 1))  # _eliminate's buffers
     right, left = ([], []), ([], [])
 
     for d in range(1, n):
         if d % 2:
-            np.copyto(mt, m.T)
+            np.copyto(mt[:2 * d + 2], m[:, :2 * d + 2].T)
             for j in range(d):
                 b, r = 2 * (d - 1 - j), 2 * (n - 1 - j)  # block (n-1-j, d-1-j)
                 steps = ((b, r + 1), (b + 1, r + 1), (b + 2, r + 1), (b, r), (b + 1, r))
-                _eliminate(mt, steps, False, *right)
-            np.copyto(m, mt.T)
+                _eliminate(mt, steps, False, *right, work)
+            np.copyto(m[:, :2 * d + 2], mt[:2 * d + 2].T)
         else:
             for j in range(d):
                 a, c = 2 * (n - d + j) - 2, 2 * j  # block (n-d+j, j)
                 steps = ((a + 2, c), (a + 1, c), (a, c), (a + 2, c + 1), (a + 1, c + 1))
-                _eliminate(m, steps, True, *left)
+                _eliminate(m, steps, True, *left, work)
 
     del mt  # _finish's lists set the call's memory peak; this buffer need not add to it
     corner = 0 if n % 2 == 0 else 2 * n - 2
-    _eliminate(m, ((corner, corner),), True, *left)
+    _eliminate(m, ((corner, corner),), True, *left, work)
     return _finish(m, *right, left)
 
 
