@@ -19,8 +19,6 @@ from .majorana import (
     SignedPermutation,
     anticommutes,
     conjugate,
-    diag_element,
-    is_diagonal,
     multiply,
     to_pauli,
 )
@@ -51,7 +49,6 @@ from .shadows import (
     SymmetrySpec,
     channel_eigenvalue,
     mitigate,
-    observable_norm_bound,
     sample_bound,
     sample_snapshots,
     shadow_norm_sq,

@@ -4,7 +4,14 @@ Everything here materializes 2^n x 2^n matrices and is used to validate the
 polynomial-time paths at small n. Never use these in production code paths.
 
 Basis ordering: |b> with b_0 the leftmost bit refers to mode/qubit 0, which is
-the first Kronecker factor, so the index of |b> is sum_p b_p 2^(n-1-p).
+the highest bit, so the index of |b> is sum_p b_p 2^(n-1-p).
+
+Every matrix starts from ``pauli_matrix``, in closed form: a Pauli string with
+f marking its X and Y qubits and s its Y and Z qubits has one nonzero per
+column, M[x ^ f, x] = i^#Y (-1)^popcount(x & s). Generators and gates are such
+strings, and ladders sums of two. ``build_monomial`` still multiplies its
+generators' matrices rather than placing the monomial's own string, so that it
+checks ``majorana.to_pauli`` by a derivation the two do not share.
 """
 from __future__ import annotations
 
@@ -13,18 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import GateProgram
-from .majorana import MajoranaMonomial, _coerce_bits
+from .majorana import _PHASES, MajoranaMonomial
 from .tolerances import DEFAULT as TOL
 
 MAX_DENSE_MODES = 12
 MAX_EXP_MODES = 10
-
-_P1 = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def _guard(n_modes: int, limit: int = MAX_DENSE_MODES):
@@ -61,10 +61,18 @@ class DenseState:
 
 
 def pauli_matrix(letters: str) -> np.ndarray:
+    """Dense matrix of a Pauli string, placed entry by entry in closed form."""
     _guard(len(letters))
-    out = np.array([[1.0 + 0j]])
+    if any(c not in "IXYZ" for c in letters):
+        raise ValueError("letters must be over I, X, Y, Z")
+    f = s = 0
     for c in letters:
-        out = np.kron(out, _P1[c])
+        f = 2 * f + (c in "XY")
+        s = 2 * s + (c in "YZ")
+    x = np.arange(2 ** len(letters))
+    phase = _PHASES[letters.count("Y") % 4]
+    out = np.zeros((x.size, x.size), dtype=complex)
+    out[x ^ f, x] = np.where(np.bitwise_count(x & s) & 1, -phase, phase)
     return out
 
 
@@ -114,18 +122,11 @@ def quadratic_hamiltonian(n_modes: int, a: np.ndarray) -> DenseOperator:
 def gaussian_unitary(n_modes: int, a: np.ndarray) -> DenseOperator:
     """Gaussian unitary U with U^dag g_u U = sum_v [expm(a)]_{u v} g_v.
 
-    Built as exp((1/4) sum_{u v} a_{u v} g_u g_v) for antisymmetric ``a``.
+    Built as exp((1/4) sum_{u v} a_{u v} g_u g_v) for antisymmetric ``a``,
+    through the Hermitian h = i (1/4) sum a_{u v} g_u g_v, which is -1/2 times
+    ``quadratic_hamiltonian(n_modes, a)``.
     """
-    _guard(n_modes, MAX_EXP_MODES)
-    gammas = [build_majorana(n_modes, u).matrix for u in range(2 * n_modes)]
-    d = 2 ** n_modes
-    gen = np.zeros((d, d), dtype=complex)
-    for u in range(2 * n_modes):
-        for v in range(2 * n_modes):
-            if u != v and a[u, v] != 0.0:
-                gen += 0.25 * a[u, v] * (gammas[u] @ gammas[v])
-    # gen is anti-Hermitian; exponentiate through the Hermitian matrix i*gen
-    h = 1j * gen
+    h = -0.5 * quadratic_hamiltonian(n_modes, a).matrix
     evals, evecs = np.linalg.eigh(h)
     u_mat = (evecs * np.exp(-1j * evals)) @ evecs.conj().T
     return DenseOperator(n_modes, u_mat)
@@ -167,12 +168,15 @@ def born_distribution(psi: DenseState) -> np.ndarray:
 
 
 def fock_state(n_modes: int, bits) -> DenseState:
-    bits = _coerce_bits(bits)
+    """|b> for a string or sequence of 0/1 entries, mode 0 first."""
+    bits = tuple(bits)
+    if any(b not in (0, 1, "0", "1") for b in bits):
+        raise ValueError("bitstring must be over 0/1")
     if len(bits) != n_modes:
         raise ValueError("bitstring length mismatch")
     idx = 0
     for b in bits:
-        idx = 2 * idx + b
+        idx = 2 * idx + int(b)
     vec = np.zeros(2 ** n_modes, dtype=complex)
     vec[idx] = 1.0
     return DenseState(n_modes, vec)

@@ -34,8 +34,6 @@ __all__ = [
     "anticommutes",
     "to_pauli",
     "conjugate",
-    "is_diagonal",
-    "diag_element",
 ]
 
 _PHASES = (1, 1j, -1, -1j)
@@ -196,11 +194,6 @@ class SignedPermutation:
             inv[v] = u
         return tuple(inv)
 
-    def inverse(self) -> "SignedPermutation":
-        inv = self.inverse_perm()
-        signs = tuple(self.signs[inv[u]] for u in range(len(self.perm)))
-        return SignedPermutation(self.n_modes, inv, signs)
-
 
 def multiply(a: MajoranaMonomial, b: MajoranaMonomial) -> MajoranaMonomial:
     """Exact operator product of two monomials.
@@ -259,37 +252,3 @@ def conjugate(q: SignedPermutation, m: MajoranaMonomial) -> MajoranaMonomial:
     pow_i = (m.phase_pow_i + 2 * (neg + _parity(mapped))) % 4
     return MajoranaMonomial(m.n_modes, tuple(sorted(mapped)), pow_i)
 
-
-def is_diagonal(m: MajoranaMonomial) -> bool:
-    """True iff the index set is a union of mode pairs (2p, 2p+1)."""
-    idx = m.indices
-    if len(idx) % 2:
-        return False
-    return all(idx[i] % 2 == 0 and idx[i + 1] == idx[i] + 1 for i in range(0, len(idx), 2))
-
-
-def diag_element(m: MajoranaMonomial, bits) -> complex:
-    """Diagonal matrix element <b| m |b> of the monomial.
-
-    Zero unless the monomial is diagonal; a diagonal canonical monomial is the
-    Z string on its modes, so the value is a product of (-1)^bit factors.
-    """
-    bits = _coerce_bits(bits)
-    if len(bits) != m.n_modes:
-        raise ValueError("bitstring length mismatch")
-    if not is_diagonal(m):
-        return 0j
-    value = m.phase_rel_canonical
-    for i in range(0, len(m.indices), 2):
-        p = m.indices[i] // 2
-        if bits[p]:
-            value = -value
-    return value
-
-
-def _coerce_bits(bits) -> tuple[int, ...]:
-    if isinstance(bits, str):
-        if any(c not in "01" for c in bits):
-            raise ValueError("bitstring must be over 0/1")
-        return tuple(int(c) for c in bits)
-    return tuple(int(b) for b in bits)

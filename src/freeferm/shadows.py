@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
-from math import comb, ceil, log, sqrt
+from math import comb, ceil, log
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "sample_snapshots",
     "channel_eigenvalue",
     "shadow_norm_sq",
-    "observable_norm_bound",
     "sample_bound",
     "symmetry_spec",
     "mitigate",
@@ -107,22 +106,6 @@ def channel_eigenvalue(n: int, k: int) -> Fraction:
 def shadow_norm_sq(n: int, k: int) -> Fraction:
     """Squared shadow norm of a degree-2k monomial: the inverse eigenvalue."""
     return 1 / channel_eigenvalue(n, k)
-
-
-def observable_norm_bound(poly) -> float:
-    """Triangle-inequality bound on the shadow norm of a MajoranaPolynomial.
-
-    The identity component is ignored.
-    """
-    total = 0.0
-    for idx, coeff in poly.terms.items():
-        if not idx:
-            continue
-        if len(idx) % 2:
-            raise ValueError("observable must be even degree")
-        k = len(idx) // 2
-        total += abs(coeff) * sqrt(float(shadow_norm_sq(poly.n_modes, k)))
-    return total
 
 
 def sample_snapshots(cov: CovarianceMatrix, size: int, rng: np.random.Generator,

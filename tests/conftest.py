@@ -81,6 +81,22 @@ def colex_sets(universe, size):
     return sorted(combinations(range(universe), size), key=lambda idx: idx[::-1])
 
 
+_PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_pauli(letters):
+    """A Pauli string as a Kronecker chain, qubit 0 first: what ``dense.pauli_matrix`` must match."""
+    out = np.array([[1.0 + 0j]])
+    for c in letters:
+        out = np.kron(out, _PAULI_1Q[c])
+    return out
+
+
 def random_monomial(n_modes, rng, max_degree=4, even_only=False):
     degrees = range(0, max_degree + 1, 2) if even_only else range(max_degree + 1)
     deg = int(rng.choice(list(degrees)))

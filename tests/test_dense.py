@@ -1,4 +1,6 @@
 """Self-checks of the brute-force Fock-space oracle."""
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,7 +9,17 @@ import freeferm as ff
 from freeferm import dense
 from freeferm.majorana import canonical_phase_pow
 
-from conftest import random_antisymmetric, random_monomial
+from conftest import kron_pauli, random_antisymmetric, random_monomial
+
+
+def test_pauli_matrix_matches_kronecker_chain():
+    strings = ["".join(p) for n in range(1, 5) for p in product("IXYZ", repeat=n)]
+    assert len(strings) == 340
+    for letters in strings:
+        assert np.array_equal(dense.pauli_matrix(letters), kron_pauli(letters)), letters
+    for letters in ("XA", "x"):
+        with pytest.raises(ValueError, match="I, X, Y, Z"):
+            dense.pauli_matrix(letters)
 
 
 def test_jordan_wigner_images():
@@ -129,6 +141,12 @@ def test_expectation_real_for_canonical(rng):
         val = dense.expectation(psi, dense.build_monomial(m))
         if m.phase_pow_i == canonical_phase_pow(m.degree):
             assert abs(val.imag) < 1e-12
+
+
+@pytest.mark.parametrize("bits", [(0, 2), (0, -1), (1, 0.9)])
+def test_fock_state_rejects_non_binary_entries(bits):
+    with pytest.raises(ValueError, match="over 0/1"):
+        dense.fock_state(2, bits)
 
 
 def test_guards():

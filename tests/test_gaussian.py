@@ -611,11 +611,9 @@ def test_mixed_state_distribution(rng):
     # diagonal of the Gaussian density operator via monomial expansion
     rho_diag = np.zeros(4)
     for z in range(4):
-        bits = ((z >> 1) & 1, z & 1)
-        val = 1.0
         acc = 0.0
         for subset in [(0, 1), (2, 3), (0, 1, 2, 3)]:
             m = ff.MajoranaMonomial.canonical(n, subset)
-            acc += ff.wick_expectation(cov, m).real * ff.diag_element(m, bits).real
+            acc += ff.wick_expectation(cov, m).real * dense.build_monomial(m).matrix[z, z].real
         rho_diag[z] = (1.0 + acc) / 4.0
     assert np.max(np.abs(dist - rho_diag)) < 1e-12

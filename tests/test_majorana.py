@@ -225,40 +225,7 @@ def test_signed_permutation_matrix_compose(rng):
             tuple(int(s) for s in rng.choice((-1, 1), size=2 * n)),
         )
         assert np.array_equal(compose(q1, q2).matrix(), q1.matrix() @ q2.matrix())
-        assert np.array_equal(q1.inverse().matrix(), q1.matrix().T)
         assert q1.determinant == int(round(np.linalg.det(q1.matrix())))
-
-
-# ------------------------------------------------- diagonal matrix elements
-
-def test_is_diagonal():
-    mk = lambda idx: ff.MajoranaMonomial.canonical(4, idx)
-    assert ff.is_diagonal(mk((0, 1, 4, 5)))
-    assert not ff.is_diagonal(mk((0, 2)))
-    assert ff.is_diagonal(mk(()))
-
-
-def test_diag_element_examples():
-    mk = lambda idx: ff.MajoranaMonomial.canonical(3, idx)
-    assert ff.diag_element(mk((0, 1)), "100") == -1
-    assert ff.diag_element(mk((0, 2)), "000") == 0
-    assert ff.diag_element(mk((0, 1, 2, 3)), "110") == 1
-
-
-def test_diag_element_matches_dense(rng):
-    n = 3
-    for idx in [(), (0, 1), (2, 3), (0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 2, 3, 4, 5)]:
-        m = ff.MajoranaMonomial.canonical(n, idx)
-        mat = dense.build_monomial(m).matrix
-        for z in range(2 ** n):
-            bits = tuple((z >> (n - 1 - i)) & 1 for i in range(n))
-            assert ff.diag_element(m, bits) == mat[z, z]
-
-
-def test_diag_element_length_mismatch():
-    m = ff.MajoranaMonomial.canonical(3, (0, 1))
-    with pytest.raises(ValueError):
-        ff.diag_element(m, "01")
 
 
 # ----------------------------------------------------------- serialization

@@ -69,9 +69,6 @@ def test_channel_eigenvalues_exact():
 def test_shadow_norms():
     assert ff.shadow_norm_sq(4, 1) == Fraction(7, 1)
     assert ff.shadow_norm_sq(4, 2) == Fraction(70, 6)
-    poly = ff.MajoranaPolynomial(4, {(0, 1, 2, 3): 0.5}, 0.0)
-    expected = 0.5 * float(ff.shadow_norm_sq(4, 2)) ** 0.5
-    assert abs(ff.observable_norm_bound(poly) - expected) < 1e-12
 
 
 # ----------------------------------------------------------------- sampling

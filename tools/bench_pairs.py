@@ -19,7 +19,9 @@ third quartiles (``statistics.quantiles``, exclusive method):
 * every end-to-end metric of every workload (``<workload>.<metric>``), with
   the direction ``BENCHMARK.json`` gives it, and each workload's failed
   operations and failed checks (``<workload>.failed``, ``.failed_checks``);
-* the Tier-1 wall time (``tier1.wall_s``);
+* the Tier-1 wall time (``tier1.wall_s``), and the seconds of each test in
+  its ``durations`` (``tier1.<test name>_s``) that every record of both sides
+  lists;
 * ``shadow-sim`` snapshots per second (``shadow_sim.<n>.snapshots_per_s``);
 * every ``compile_layers``, ``partition_layers`` and ``tomography_layers``
   median (``compile_layers.<n>.<layer>``, in ms), and the tracemalloc peaks of
@@ -54,6 +56,8 @@ def figures(record: dict, better: dict) -> dict:
         out[f"{workload}.failed"] = (entry["failed"], "lower")
         out[f"{workload}.failed_checks"] = (len(entry["failed_checks"]), "lower")
     out["tier1.wall_s"] = (record["tier1"]["wall_s"], "lower")
+    for test, seconds in record["tier1"]["durations"].items():
+        out[f"tier1.{test.rpartition('::')[2]}_s"] = (seconds, "lower")
     for n, entry in record["shadow_sim"].items():
         out[f"shadow_sim.{n}.snapshots_per_s"] = (entry["snapshots_per_s"], "higher")
     for group in ("compile_layers", "partition_layers", "tomography_layers"):
@@ -99,7 +103,8 @@ def main(argv=None) -> int:
                 bench_record.write_record(
                     os.path.join(os.path.dirname(out), f"BENCH_{label}.json"), record)
             runs[side].append(figures(record, better))
-    names = [name for name in runs["parent"][0] if all(name in r for r in runs["change"])]
+    names = [name for name in runs["parent"][0]
+             if all(name in r for r in runs["parent"] + runs["change"])]
     result = {"label": args.label, "pairs": PAIRS,
               "src_lines": {side: bench_record.src_lines(root) for side, root in roots.items()},
               "figures": {name: summarize([r[name][0] for r in runs["parent"]],

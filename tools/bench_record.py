@@ -24,8 +24,10 @@ requires.
 After the workloads it records two end-to-end figures of the checkout:
 
 * ``tier1``: the wall time of one run of its Tier-1 suite (``python -m
-  pytest -q --continue-on-collection-errors``), its exit code and the counts
-  of its summary line (``passed``, ``failed``, ...);
+  pytest -q --continue-on-collection-errors``), its exit code, the counts
+  of its summary line (``passed``, ``failed``, ...) and ``durations``, the
+  seconds of each test that took at least a second (pytest's ``--durations``
+  report, setup, call and teardown summed per test id);
 * ``shadow_sim``: snapshots per second of ``freeferm shadow-sim`` at
   n = 8, 16 and 24 (eta = n / 4, kmax 1, no noise, 10,000 snapshots, one
   thread), from the median of three runs. Each run times the command inside
@@ -240,7 +242,7 @@ def record_workload(root: str, workload: str, seed: int, seconds: float) -> dict
 def tier1(root: str) -> dict:
     start = time.perf_counter()
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-           "-p", "no:cacheprovider"]
+           "-p", "no:cacheprovider", "--durations=0", "--durations-min=1.0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     wall = time.perf_counter() - start
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
@@ -248,7 +250,11 @@ def tier1(root: str) -> dict:
     if not counts:
         raise RuntimeError(f"pytest exited {proc.returncode} without a summary: "
                            f"{proc.stderr.strip()}")
-    return {"wall_s": wall, "exit_code": proc.returncode, **counts}
+    durations = {}
+    for seconds, test in re.findall(r"^([\d.]+)s (?:setup|call|teardown) +(\S+)$", proc.stdout,
+                                    re.MULTILINE):
+        durations[test] = durations.get(test, 0.0) + float(seconds)
+    return {"wall_s": wall, "exit_code": proc.returncode, **counts, "durations": durations}
 
 
 def shadow_sim_rate(root: str, n: int) -> dict:
