@@ -4,8 +4,9 @@ Run from anywhere:
 
     python3 tools/bench_pairs.py --label LABEL --parent DIR --change DIR [--out PATH]
 
-``--parent`` and ``--change`` are two checkouts, for example two ``git archive``
-copies. For seeds 1 to 10 this measures each checkout once with
+``--parent`` and ``--change`` are two git checkouts, for example two ``git
+clone``s; ``bench_record`` asks git whether ``src`` is dirty, so a ``git
+archive`` copy fails. For seeds 1 to 10 this measures each checkout once with
 ``tools/bench_record.py``'s ``measure``, the parent first at odd seeds and the
 change first at even ones, so that a drift of the host's load falls on both
 sides. The seed-1 records go to ``BENCH_<label>_parent.json`` and
